@@ -451,7 +451,7 @@ impl SelectionRecord {
     }
 
     /// Rebuilds a record from summary data alone — the shard-merge path,
-    /// where the selection job ran in a worker process and only its
+    /// where the selection job ran on a remote endpoint and only its
     /// summaries travelled over the wire. The record renders into the
     /// artifact identically to one built by [`SelectionRecord::summarize`]
     /// in-process; [`SelectionRecord::selection`] returns `None`.
@@ -628,7 +628,7 @@ pub struct WorkloadInfo {
 impl EngineRun {
     /// Assembles a run from parts produced elsewhere — the shard
     /// coordinator's merge path, where cells and selection summaries
-    /// arrive from worker processes. Indexes are rebuilt here, so the
+    /// arrive from remote endpoints. Indexes are rebuilt here, so the
     /// assembled run answers [`EngineRun::cell`]/[`EngineRun::speedup`]/
     /// [`EngineRun::selection`] exactly like one produced by
     /// [`execute_with`]; callers are responsible for supplying `cells`,
@@ -1326,7 +1326,8 @@ fn simulate_cell(
     }
     if config.faults.cell_aborts(idx) {
         // A real crash, not an unwind: `catch_unwind` cannot see this.
-        // The shard coordinator's worker-respawn path is what survives it.
+        // Under `--remote` this crashes an endpoint, and the shard
+        // coordinator's degradation ladder is what survives it.
         eprintln!("[t1000-bench] injected abort: cell {idx}");
         std::process::abort();
     }

@@ -10,7 +10,7 @@
 //! |---|---|
 //! | `panic@N` | cell `N` (plan index) panics on **every** attempt |
 //! | `panic@NxK` | cell `N` panics on its first `K` attempts only (retry then succeeds) |
-//! | `abort@N` | the **process** aborts when cell `N` starts simulating (worker-crash injection) |
+//! | `abort@N` | the **process** running cell `N` aborts when the cell starts simulating: under `--remote` the endpoint holding it crashes (endpoint-crash injection); in-process the bench itself aborts |
 //! | `pfu@N` | every PFU configuration load in cell `N` fails → graceful scalar fallback |
 //! | `net@S` | every connect attempt to shard `S`'s remote endpoint is refused |
 //! | `net@SxK` | shard `S`'s first `K` connect attempts are refused (retry then succeeds) |
@@ -24,7 +24,7 @@
 //!
 //! Network arms are keyed by *shard* index (not cell index) and fire in
 //! the coordinator's remote transport only — they are never forwarded to
-//! workers and are inert in local (child-process) runs.
+//! endpoints and are inert without `--remote`.
 
 use std::collections::{HashMap, HashSet};
 
@@ -38,9 +38,10 @@ pub struct FaultPlan {
     /// cell index → number of leading attempts that panic
     /// (`u32::MAX` = every attempt).
     cell_panics: HashMap<usize, u32>,
-    /// Cells whose simulation aborts the whole process — the crash the
-    /// shard coordinator must survive. Unlike `panic@N`, an abort cannot
-    /// be caught in-process, so it exercises the worker-crash path.
+    /// Cells whose simulation aborts the whole process — the endpoint
+    /// crash the shard coordinator must survive. Unlike `panic@N`, an
+    /// abort cannot be caught in-process, so it exercises the
+    /// degradation ladder.
     aborts: HashSet<usize>,
     /// Cells whose PFU configuration loads all fail.
     pfu_faults: HashSet<usize>,
@@ -163,8 +164,8 @@ impl FaultPlan {
     }
 
     /// This plan with every `abort@N` arm removed — what a shard
-    /// coordinator hands the replacement worker after a crash, so the
-    /// retried cells can complete.
+    /// coordinator hands every retry rung after a crash, so the retried
+    /// cells can complete.
     pub fn without_aborts(&self) -> FaultPlan {
         FaultPlan {
             aborts: HashSet::new(),
@@ -175,12 +176,12 @@ impl FaultPlan {
     /// Re-indexes every per-cell arm through `map` (global plan index →
     /// local sub-plan index), dropping arms that map to `None`. A shard
     /// coordinator interprets `--inject` indices against the *full* plan,
-    /// so each worker receives only its own cells' arms, rewritten to the
-    /// worker's local cell numbering. I/O arms carry no cell index and
-    /// pass through unchanged (they are inert in workers, which write
-    /// neither artifacts nor checkpoints). Network arms are *dropped*:
-    /// they are keyed by shard and belong to the coordinator's transport
-    /// layer, never to a worker.
+    /// so each endpoint receives only its own cells' arms, rewritten to
+    /// the endpoint's local cell numbering. I/O arms carry no cell index
+    /// and pass through unchanged (they are inert in shard jobs, which
+    /// write neither artifacts nor checkpoints). Network arms are
+    /// *dropped*: they are keyed by shard and belong to the coordinator's
+    /// transport layer, never to a shard job.
     pub fn remap_cells(&self, map: impl Fn(usize) -> Option<usize>) -> FaultPlan {
         FaultPlan {
             cell_panics: self
@@ -226,7 +227,7 @@ impl FaultPlan {
 
     /// Renders the plan back into the `--inject` grammar (arms in a
     /// canonical sorted order), so a coordinator can forward its plan —
-    /// or a crash-stripped variant of it — to worker processes verbatim.
+    /// or a crash-stripped variant of it — to endpoints verbatim.
     /// `parse(render(p))` reproduces `p` exactly.
     pub fn render(&self) -> String {
         let mut arms: Vec<String> = Vec::new();
@@ -367,7 +368,7 @@ mod tests {
     #[test]
     fn remap_rewrites_cell_arms_and_drops_foreign_ones() {
         let p = FaultPlan::parse("panic@0x2,panic@5,abort@3,pfu@5,io@artifactx1").unwrap();
-        // A worker owning global cells {3, 5} sees them as local {0, 1}.
+        // An endpoint owning global cells {3, 5} sees them as local {0, 1}.
         let local = p.remap_cells(|g| match g {
             3 => Some(0),
             5 => Some(1),
@@ -394,7 +395,7 @@ mod tests {
 
     #[test]
     fn remap_drops_network_arms_entirely() {
-        // Workers never see net arms: they are coordinator-side, keyed by
+        // Endpoints never see net arms: they are coordinator-side, keyed by
         // shard — remapping through *any* cell map must drop them.
         let p = FaultPlan::parse("panic@0x1,net@0,netdrop@0,netstall@1,io@checkpointx1").unwrap();
         let local = p.remap_cells(Some);

@@ -121,10 +121,13 @@ impl Json {
 
     /// Parses a JSON document (the writer's output, or any standard JSON
     /// text; `\u` escapes outside the basic plane are unsupported).
+    /// Arrays and objects nested deeper than [`MAX_DEPTH`] are an error,
+    /// so hostile input cannot overflow the parsing thread's stack.
     pub fn parse(src: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: src.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -195,6 +198,10 @@ fn write_seq<T>(
     out.push(close);
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. Every document
+/// this workspace writes nests fewer than ten levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse failure: byte offset plus message.
 #[derive(Debug, PartialEq, Eq)]
 pub struct JsonError {
@@ -213,6 +220,8 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -258,8 +267,19 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.error(format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(other) => Err(self.error(format!("unexpected byte 0x{other:02x}"))),
         }
@@ -492,6 +512,45 @@ mod tests {
         let v = Json::parse(" {\n \"a\" : [ 1 , 2.5 , true , null , \"x\" ] }\n").unwrap();
         assert_eq!(v.get("a").unwrap().as_array().unwrap().len(), 5);
         assert_eq!(v.get("a").unwrap().as_array().unwrap()[0].as_u64(), Some(1));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        // A spawned thread has the default (small) stack — the setting a
+        // coordinator parses endpoint lines in.
+        std::thread::spawn(|| {
+            for n in [5_000, 20_000, 100_000] {
+                for open in ["[", "{\"a\":"] {
+                    let err = Json::parse(&open.repeat(n)).unwrap_err();
+                    assert!(err.message.contains("nesting"), "{n}: {err}");
+                }
+            }
+            let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+            assert!(Json::parse(&at_cap).is_ok());
+            let over = format!("[{at_cap}]");
+            assert!(Json::parse(&over).is_err());
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn a_real_artifact_round_trips_under_the_depth_cap() {
+        let mut plan = crate::plan::Plan::new();
+        plan.push(crate::plan::Cell::new(
+            "g721_enc",
+            crate::plan::SelectionSpec::Greedy,
+            crate::plan::MachineSpec::with_pfus(2, 10),
+        ));
+        let config = crate::engine::EngineConfig {
+            deterministic: true,
+            ..Default::default()
+        };
+        let run = crate::engine::execute_with(&plan, t1000_workloads::Scale::Test, &config);
+        let doc = crate::results::to_json(&run);
+        let text = doc.to_string_pretty();
+        assert_eq!(Json::parse(&text).unwrap(), doc);
+        crate::results::validate_artifact(&text).unwrap();
     }
 
     #[test]

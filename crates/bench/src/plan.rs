@@ -267,7 +267,7 @@ impl Cell {
 
 /// An ordered, deduplicated set of cells. Push cells in report order;
 /// duplicates (including baselines implied by earlier cells) are dropped.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct Plan {
     cells: Vec<Cell>,
     seen: HashSet<Cell>,

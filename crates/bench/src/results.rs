@@ -244,10 +244,12 @@ pub fn cell_result_json(c: &CellResult, speedup: Option<f64>) -> Json {
 
 /// Parses a schema-v6 `cells[]` document back into a [`CellResult`] for
 /// `cell` — the inverse of [`cell_result_json`], used by the shard
-/// coordinator to merge per-cell documents streamed from worker
-/// processes. The caller supplies the expected [`Cell`] (the coordinator
-/// knows it from the cell's global plan index), so only the measurement
-/// fields and the attribution are read; `speedup` is ignored (the merged
+/// coordinator to merge per-cell documents streamed from remote
+/// endpoints. The caller supplies the expected [`Cell`] (the coordinator
+/// knows it from the cell's global plan index); a document whose
+/// `workload` or `machine` differs from it is rejected, and otherwise
+/// only the measurement fields and the attribution are read; `speedup`
+/// is ignored (the merged
 /// run recomputes it against its own baseline). Every numeric field
 /// round-trips exactly: integers are exact in the JSON layer and floats
 /// are printed shortest-round-trip.
@@ -266,6 +268,15 @@ pub fn cell_result_from_json(doc: &Json, cell: Cell) -> Result<CellResult, Strin
     if got != Some(cell.workload) {
         return Err(format!(
             "cell document: workload {got:?} does not match plan cell {}",
+            cell.workload
+        ));
+    }
+    // A document simulated on another machine (an endpoint that built
+    // the plan with different config-plane knobs) must not be stamped
+    // with this cell's labels.
+    if doc.get("machine") != Some(&machine_json(&cell.machine)) {
+        return Err(format!(
+            "cell document: machine does not match plan cell {}",
             cell.workload
         ));
     }

@@ -1,29 +1,32 @@
 //! Multi-process execution: shard a bench plan's cell space across
-//! worker processes and merge the streamed results into one artifact.
+//! remote `t1000 serve --tcp` endpoints and merge the streamed results
+//! into one artifact.
 //!
-//! The coordinator (`t1000 bench --all --shards N`) partitions the plan's
-//! cells deterministically ([`partition`]), spawns `N` `t1000 worker`
-//! processes — each a full engine with its own `SessionStore`, pinned to
-//! one OS thread — and merges the per-cell schema-v6 documents they
-//! stream back over newline-delimited JSON-RPC framing (the same framing
-//! `t1000 serve` speaks). The merge ([`MergeState`]) verifies every
-//! document twice — a wire checksum ([`t1000_core::stable_hash64`] of the
-//! document bytes) and the workload's architectural reference checksum —
-//! and assembles an [`EngineRun`] whose artifact is **byte-identical**
-//! (modulo wall-clock fields, zeroed under `--deterministic`) to the one
-//! a single-process run produces.
+//! The coordinator (`t1000 bench --all --remote HOST:PORT[,…]`)
+//! partitions the plan's cells deterministically ([`partition`]) into
+//! one shard per endpoint, dispatches shard `s` to endpoint `s` as a
+//! `run_shard` request, and merges the per-cell schema-v6 documents the
+//! endpoints stream back over newline-delimited JSON-RPC framing (the
+//! same framing every `t1000 serve` method speaks). The merge
+//! ([`MergeState`]) verifies every document twice — a wire checksum
+//! ([`t1000_core::stable_hash64`] of the document bytes) and the
+//! workload's architectural reference checksum — and assembles an
+//! [`EngineRun`] whose artifact is **byte-identical** (modulo wall-clock
+//! fields, zeroed under `--deterministic`) to the one an in-process run
+//! produces.
 //!
 //! Wire protocol, one JSON document per line:
 //!
-//! coordinator → worker (one request, then EOF):
+//! coordinator → endpoint (after a `ping` handshake on the connection):
 //!
 //! ```text
 //! {"id":0,"method":"run_shard","params":{"plan":"run_all","scale":"test",
 //!  "cells":[0,3,5],"selections":[],"deterministic":true,
-//!  "no_fast_path":false,"max_cycles":0,"inject":""}}
+//!  "no_fast_path":false,"max_cycles":0,"inject":"","retries":3,
+//!  "backoff_ms":0,"pfu_planes":1,"pfu_prefetch":0,"conf_compress":0.0}}
 //! ```
 //!
-//! worker → coordinator (streamed, then a final id-0 envelope):
+//! endpoint → coordinator (streamed, then a final id-echoing envelope):
 //!
 //! ```text
 //! {"method":"selection","params":{"index":0,"record":{...}}}
@@ -34,24 +37,22 @@
 //!
 //! `index` is always a *global* position: into `plan.cells()` for cells
 //! and failures, into [`engine::selection_keys`] for selection records —
-//! both derivable from the plan name alone, which is why the wire never
-//! carries cell descriptions. Worker crashes (detected as EOF-without-
-//! final-response or a nonzero exit) leave their unfinished cells in
-//! [`MergeState::missing`]; the coordinator retries them on one
-//! replacement worker (with `abort@N` injections stripped) and maps
-//! anything still missing into [`FailureCause::Panic`] on the schema-v3
-//! `failed_cells` path. See `docs/SERVING.md` and `docs/ARCHITECTURE.md`.
+//! both derivable from the plan name and the config-plane knobs alone,
+//! which is why the wire never carries cell descriptions.
 //!
-//! With `--remote HOST:PORT[,…]` the same request/event stream travels
-//! over TCP to `t1000 serve --tcp` endpoints (method `run_shard`) instead
-//! of child pipes. Every network interaction is wrapped in an explicit
-//! fault-tolerance layer — connect retry with capped exponential backoff
-//! and deterministic jitter, a `ping` handshake before every dispatch,
-//! idle-stream and soft-deadline watchdogs — and unaccounted cells walk a
-//! degradation ladder: surviving remote endpoints first, then local child
-//! workers, so a bench never fails merely because the network did. The
-//! `net@`/`netdrop@`/`netstall@` [`FaultPlan`] arms make each rung
-//! testable without a real flaky network (see `docs/ROBUSTNESS.md`).
+//! Every network interaction is wrapped in an explicit fault-tolerance
+//! layer — connect retry with capped exponential backoff and
+//! deterministic jitter, a `ping` handshake before every dispatch and an
+//! idle-stream watchdog — and unaccounted cells walk a degradation
+//! ladder: surviving remote endpoints first, then the coordinator's own
+//! in-process engine ([`execute_shard`] with aborts stripped), so a bench
+//! never fails merely because the network or an endpoint did. Every rung
+//! feeds the same [`MergeState`]; anything still missing after the
+//! ladder is reported as [`FailureCause::Panic`] on the schema-v3
+//! `failed_cells` path. The `net@`/`netdrop@`/`netstall@` [`FaultPlan`]
+//! arms make each rung testable without a real flaky network, and
+//! `abort@N` crashes the endpoint that runs cell `N` (see
+//! `docs/SERVING.md` and `docs/ROBUSTNESS.md`).
 
 use crate::checkpoint;
 use crate::engine::{
@@ -63,7 +64,7 @@ use crate::json::Json;
 use crate::plan::{Cell, Plan, SelectionSpec};
 use crate::results;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::io::{BufRead, Read, Write};
+use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
@@ -71,17 +72,32 @@ use std::time::{Duration, Instant};
 use t1000_core::{stable_hash64, ExtractConfig};
 use t1000_workloads::Scale;
 
-/// Plans a worker can rebuild from the name on the wire. Sharded
-/// execution ships the plan *name*, not the cells: both sides derive the
-/// identical cell list (and selection-key list) from the same pure
-/// function, so a one-word identifier plus global indices is a complete,
-/// tamper-evident description of the work.
-pub fn plan_by_name(name: &str) -> Option<Plan> {
-    match name {
-        "run_all" => Some(crate::plan::run_all_plan()),
-        "run_all_strategies" => Some(crate::plan::run_all_plan_with_strategies()),
-        _ => None,
+/// The config-plane machine knobs `(pfu_planes, pfu_prefetch,
+/// conf_compress)` a plan is built with (`--pfu-planes`,
+/// `--pfu-prefetch`, `--conf-compress`).
+pub type PlaneKnobs = (u32, u32, f64);
+
+/// The knobs that leave a plan's machines untouched.
+pub const DEFAULT_PLANE: PlaneKnobs = (1, 0, 0.0);
+
+/// Plans an endpoint can rebuild from the wire. Sharded execution ships
+/// the plan *name* and the config-plane knobs, not the cells: both sides
+/// derive the identical cell list (and selection-key list) from this one
+/// pure function, so a name, three knobs and global indices are a
+/// complete description of the work. Default knobs keep the untouched
+/// plan object, so the artifact stays byte-identical to pre-v6 runs
+/// (cell order included).
+pub fn plan_by_name(name: &str, knobs: PlaneKnobs) -> Option<Plan> {
+    let plan = match name {
+        "run_all" => crate::plan::run_all_plan(),
+        "run_all_strategies" => crate::plan::run_all_plan_with_strategies(),
+        _ => return None,
+    };
+    if knobs == DEFAULT_PLANE {
+        return Some(plan);
     }
+    let (planes, prefetch, compress) = knobs;
+    Some(plan.with_config_plane(planes, prefetch, compress))
 }
 
 fn scale_str(scale: Scale) -> &'static str {
@@ -100,10 +116,10 @@ fn parse_hex64(s: &str) -> Option<u64> {
 // ---------------------------------------------------------------------
 
 /// Deterministic, group-atomic partition of `indices` (global positions
-/// into `plan.cells()`) across `shards` workers: cells are grouped by
+/// into `plan.cells()`) across `shards` shards: cells are grouped by
 /// (workload, extraction config) in first-appearance order over the
 /// *full* plan, and group `i` goes to shard `i % shards`. Group-atomicity
-/// means each profiling session is built by exactly one worker, every
+/// means each profiling session is built by exactly one shard, every
 /// selection job lands whole on one shard, and every cell travels with
 /// the baseline it is normalised against. Grouping over the full plan
 /// (not `indices`) keeps the assignment stable under `--resume`, where
@@ -140,7 +156,7 @@ fn group_map(plan: &Plan) -> HashMap<(&'static str, ExtractConfig), usize> {
 /// every selection job lands on the shard that owns its group's cells.
 /// Needed because the merged artifact records *all* selection jobs even
 /// when `--resume` restored every cell that depends on them — exactly as
-/// the single-process engine recomputes selections on resume.
+/// the in-process engine recomputes selections on resume.
 pub fn partition_selections(plan: &Plan, keys: &[usize], shards: usize) -> Vec<Vec<usize>> {
     let all = engine::selection_keys(plan);
     let groups = group_map(plan);
@@ -157,10 +173,10 @@ pub fn partition_selections(plan: &Plan, keys: &[usize], shards: usize) -> Vec<V
     out
 }
 
-/// Local cell indices a worker's sub-plan will assign to `assigned`
+/// Local cell indices a shard's sub-plan will assign to `assigned`
 /// (global indices): mirrors [`Plan::push`], where an implied baseline
 /// occupies its own slot the first time it is (explicitly or implicitly)
-/// reached. Needed to rewrite `--inject` arms into worker-local
+/// reached. Needed to rewrite `--inject` arms into shard-local
 /// numbering — exact for any assignment, group-atomic or not.
 fn local_indices(plan_cells: &[Cell], assigned: &[usize]) -> HashMap<usize, usize> {
     let mut order: Vec<Cell> = Vec::new();
@@ -179,8 +195,8 @@ fn local_indices(plan_cells: &[Cell], assigned: &[usize]) -> HashMap<usize, usiz
     assigned.iter().map(|&g| (g, pos[&plan_cells[g]])).collect()
 }
 
-/// The slice of `faults` a worker assigned `cells` should receive, with
-/// per-cell arms rewritten from global to worker-local indices.
+/// The slice of `faults` a shard assigned `cells` should receive, with
+/// per-cell arms rewritten from global to shard-local indices.
 fn local_faults(faults: &FaultPlan, plan_cells: &[Cell], assigned: &[usize]) -> FaultPlan {
     let map = local_indices(plan_cells, assigned);
     faults.remap_cells(|g| map.get(&g).copied())
@@ -243,21 +259,25 @@ pub fn cause_from_wire(kind: &str, payload: &str) -> Result<FailureCause, String
 // Wire documents
 // ---------------------------------------------------------------------
 
-/// The coordinator's one request to a worker. `selections` lists the
-/// global selection-key indices the worker must compute *in addition* to
-/// the jobs its assigned cells already imply — needed under `--resume`,
-/// where a fully-restored group still owes its selection records.
-/// `retries`/`backoff_ms` forward the coordinator's [`RetryPolicy`] so
-/// every worker's in-cell retry behaviour matches (`backoff_ms` 0 means
-/// "use the default schedule").
+/// The coordinator's `run_shard` request to an endpoint. `selections`
+/// lists the global selection-key indices the endpoint must compute *in
+/// addition* to the jobs its assigned cells already imply — needed under
+/// `--resume`, where a fully-restored group still owes its selection
+/// records. `retries`/`backoff_ms` forward the coordinator's
+/// [`RetryPolicy`] so every endpoint's in-cell retry behaviour matches
+/// (`backoff_ms` 0 means "use the default schedule"); `pfu_planes`/
+/// `pfu_prefetch`/`conf_compress` forward the config-plane knobs the
+/// plan was built with.
 pub fn shard_request(
-    plan_name: &str,
+    (plan_name, knobs): (&str, PlaneKnobs),
     scale: Scale,
     cells: &[usize],
     selections: &[usize],
     config: &EngineConfig,
     faults: &FaultPlan,
 ) -> Json {
+    let (planes, prefetch, compress) = knobs;
+    let indices = |v: &[usize]| Json::Arr(v.iter().map(|&i| Json::UInt(i as u64)).collect());
     Json::obj(vec![
         ("id", Json::UInt(0)),
         ("method", Json::Str("run_shard".to_string())),
@@ -266,14 +286,8 @@ pub fn shard_request(
             Json::obj(vec![
                 ("plan", Json::Str(plan_name.to_string())),
                 ("scale", Json::Str(scale_str(scale).to_string())),
-                (
-                    "cells",
-                    Json::Arr(cells.iter().map(|&i| Json::UInt(i as u64)).collect()),
-                ),
-                (
-                    "selections",
-                    Json::Arr(selections.iter().map(|&i| Json::UInt(i as u64)).collect()),
-                ),
+                ("cells", indices(cells)),
+                ("selections", indices(selections)),
                 ("deterministic", Json::Bool(config.deterministic)),
                 ("no_fast_path", Json::Bool(config.no_fast_path)),
                 ("max_cycles", Json::UInt(config.max_cycles)),
@@ -283,12 +297,15 @@ pub fn shard_request(
                     "backoff_ms",
                     Json::UInt(config.retry.backoff_override_ms.unwrap_or(0)),
                 ),
+                ("pfu_planes", Json::UInt(u64::from(planes))),
+                ("pfu_prefetch", Json::UInt(u64::from(prefetch))),
+                ("conf_compress", Json::Float(compress)),
             ]),
         ),
     ])
 }
 
-/// A worker's per-cell event: the global index, the schema-v6 cell
+/// An endpoint's per-cell event: the global index, the schema-v6 cell
 /// document (`speedup` null — the coordinator recomputes it against the
 /// merged baseline), and the wire checksum: [`stable_hash64`] over the
 /// document's compact rendering, verified at merge time.
@@ -308,7 +325,7 @@ pub fn cell_event(index: usize, result: &CellResult) -> Json {
     ])
 }
 
-/// A worker's per-selection event: the global selection-key index and the
+/// An endpoint's per-selection event: the global selection-key index and the
 /// record's schema-v6 summary document.
 pub fn selection_event(index: usize, record: &SelectionRecord) -> Json {
     Json::obj(vec![
@@ -323,7 +340,7 @@ pub fn selection_event(index: usize, record: &SelectionRecord) -> Json {
     ])
 }
 
-/// A worker's per-failure event ([`cause_to_wire`] encoding).
+/// An endpoint's per-failure event ([`cause_to_wire`] encoding).
 pub fn failure_event(index: usize, error: &EngineError) -> Json {
     let (kind, payload) = cause_to_wire(&error.cause);
     Json::obj(vec![
@@ -341,62 +358,14 @@ pub fn failure_event(index: usize, error: &EngineError) -> Json {
 }
 
 // ---------------------------------------------------------------------
-// Worker
+// Shard execution
 // ---------------------------------------------------------------------
 
-/// Runs the `t1000 worker` protocol: read one `run_shard` request line
-/// from `input`, execute the assigned cells on an in-process engine, and
-/// stream `selection`/`cell`/`cell_failed` events to `output` followed by
-/// the final id-0 result envelope. Returns the process exit code (a
-/// malformed request gets an error envelope and a nonzero code).
-pub fn run_worker(mut input: impl BufRead, output: &mut impl Write) -> i32 {
-    let mut line = String::new();
-    let request = match input.read_line(&mut line) {
-        Ok(0) => Err("no request on stdin".to_string()),
-        Ok(_) => Ok(line.trim().to_string()),
-        Err(e) => Err(format!("reading request: {e}")),
-    };
-    match request.and_then(|line| worker_serve(&line, output)) {
-        Ok(()) => 0,
-        Err(msg) => {
-            let envelope = Json::obj(vec![
-                ("id", Json::UInt(0)),
-                (
-                    "error",
-                    Json::obj(vec![
-                        ("code", Json::UInt(400)),
-                        ("message", Json::Str(msg.clone())),
-                    ]),
-                ),
-            ]);
-            let _ = writeln!(output, "{}", envelope.to_string_compact());
-            let _ = output.flush();
-            eprintln!("[t1000-worker] bad request: {msg}");
-            2
-        }
-    }
-}
-
-fn worker_serve(line: &str, output: &mut impl Write) -> Result<(), String> {
-    let req = Json::parse(line).map_err(|e| e.to_string())?;
-    match req.get("method").and_then(Json::as_str) {
-        Some("run_shard") => {}
-        other => return Err(format!("expected method run_shard, got {other:?}")),
-    }
-    let params = req.get("params").ok_or("missing params")?;
-    let job = parse_shard_params(params)?;
-    let mut emit = |doc: Json| -> Result<(), String> {
-        writeln!(output, "{}", doc.to_string_compact()).map_err(|e| e.to_string())
-    };
-    execute_shard(&job, &Json::UInt(0), &mut emit)?;
-    output.flush().map_err(|e| e.to_string())
-}
-
-/// One validated `run_shard` request: the plan (rebuilt from its wire
-/// name), the assigned global cell/selection-key indices, and the engine
-/// knobs. Shared by the `t1000 worker` child-process entry point and the
-/// `t1000 serve` `run_shard` method — both parse with
-/// [`parse_shard_params`] and execute with [`execute_shard`].
+/// One `run_shard` job: the plan (rebuilt from its wire name and
+/// config-plane knobs), the assigned global cell/selection-key indices,
+/// and the engine knobs. The `t1000 serve` `run_shard` method builds it
+/// with [`parse_shard_params`]; the coordinator's last degradation rung
+/// builds it directly. Both execute it with [`execute_shard`].
 pub struct ShardJob {
     pub plan: Plan,
     pub scale: Scale,
@@ -406,14 +375,35 @@ pub struct ShardJob {
 }
 
 /// Validates the `params` object of a `run_shard` request into a
-/// [`ShardJob`]. Rejects unknown plans, bad scales, and out-of-range
-/// indices with messages suitable for an error envelope.
+/// [`ShardJob`]. Rejects unknown plans, bad scales, bad config-plane
+/// knobs, and out-of-range indices with messages suitable for an error
+/// envelope. Absent knobs default to [`DEFAULT_PLANE`].
 pub fn parse_shard_params(params: &Json) -> Result<ShardJob, String> {
     let plan_name = params
         .get("plan")
         .and_then(Json::as_str)
         .ok_or("missing plan")?;
-    let plan = plan_by_name(plan_name).ok_or_else(|| format!("unknown plan {plan_name:?}"))?;
+    let knob = |key: &str, default: u32| match params.get(key) {
+        None => Ok(default),
+        Some(v) => v
+            .as_u64()
+            .and_then(|n| u32::try_from(n).ok())
+            .ok_or_else(|| format!("bad {key}")),
+    };
+    let planes = knob("pfu_planes", DEFAULT_PLANE.0)?;
+    if !(1..=2).contains(&planes) {
+        return Err(format!("pfu_planes must be 1 or 2, got {planes}"));
+    }
+    let compress = match params.get("conf_compress") {
+        None => DEFAULT_PLANE.2,
+        Some(v) => v
+            .as_f64()
+            .filter(|r| *r >= 0.0 && r.is_finite())
+            .ok_or("bad conf_compress")?,
+    };
+    let knobs = (planes, knob("pfu_prefetch", DEFAULT_PLANE.1)?, compress);
+    let plan =
+        plan_by_name(plan_name, knobs).ok_or_else(|| format!("unknown plan {plan_name:?}"))?;
     let scale = match params.get("scale").and_then(Json::as_str) {
         Some("test") => Scale::Test,
         Some("full") => Scale::Full,
@@ -484,9 +474,9 @@ pub fn parse_shard_params(params: &Json) -> Result<ShardJob, String> {
 
 /// Executes a parsed [`ShardJob`] on an in-process engine and streams the
 /// `selection`/`cell`/`cell_failed` events plus the final result envelope
-/// (echoing `id`) through `emit` — the worker-side half of the shard wire
-/// protocol, transport-agnostic so the child-process worker and the TCP
-/// `run_shard` method share it verbatim.
+/// (echoing `id`) through `emit` — the endpoint half of the shard wire
+/// protocol, transport-agnostic so the TCP `run_shard` method and the
+/// coordinator's in-process rung share it verbatim.
 pub fn execute_shard(
     job: &ShardJob,
     id: &Json,
@@ -563,7 +553,7 @@ pub fn execute_shard(
 // Merge
 // ---------------------------------------------------------------------
 
-/// A worker's final self-reported totals (wall-clock and retry counters;
+/// A shard's final self-reported totals (wall-clock and retry counters;
 /// everything else in the merged stats is derived from the plan).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ShardStats {
@@ -574,7 +564,17 @@ pub struct ShardStats {
     pub selection_compute_secs: f64,
 }
 
-/// What one worker output line turned out to be.
+impl ShardStats {
+    fn add(&mut self, s: &ShardStats) {
+        self.retries += s.retries;
+        self.prepare_secs += s.prepare_secs;
+        self.select_secs += s.select_secs;
+        self.simulate_secs += s.simulate_secs;
+        self.selection_compute_secs += s.selection_compute_secs;
+    }
+}
+
+/// What one streamed shard line turned out to be.
 #[derive(Debug)]
 pub enum WireLine {
     /// A cell document was verified and merged.
@@ -583,20 +583,21 @@ pub enum WireLine {
     Event,
     /// The shard's final id-0 result envelope.
     Done(ShardStats),
-    /// The worker rejected the request with an error envelope.
+    /// The endpoint rejected the request with an error envelope.
     Failed(String),
 }
 
-/// Merges worker-streamed documents back into one [`EngineRun`].
-/// Process-free by construction: the coordinator feeds it lines read from
-/// worker pipes, and tests feed it events synthesized from in-process
-/// runs — the merge math is identical.
+/// Merges shard-streamed documents back into one [`EngineRun`].
+/// Transport-free by construction: the coordinator feeds it lines read
+/// from endpoint streams and documents its in-process rung emits, and
+/// tests feed it events synthesized from in-process runs — the merge
+/// math is identical.
 pub struct MergeState {
     scale: Scale,
     cells: Vec<Cell>,
     keys: Vec<(&'static str, ExtractConfig, SelectionSpec)>,
     /// Workload → architectural reference checksum, recomputed locally —
-    /// a worker cannot vouch for its own results.
+    /// an endpoint cannot vouch for its own results.
     expected: HashMap<&'static str, u64>,
     merged: BTreeMap<usize, CellResult>,
     selections: BTreeMap<usize, SelectionRecord>,
@@ -651,14 +652,14 @@ impl MergeState {
     }
 
     /// Selection keys with no merged record yet — what the resume path
-    /// assigns explicitly and the crash-retry worker recomputes.
+    /// assigns explicitly and the retry rungs recompute.
     pub fn missing_selections(&self) -> Vec<usize> {
         (0..self.keys.len())
             .filter(|k| !self.selections.contains_key(k))
             .collect()
     }
 
-    /// Records a coordinator-observed failure for a cell no worker
+    /// Records a coordinator-observed failure for a cell no shard
     /// reported (a crash that survived the retry wave).
     pub fn fail(&mut self, index: usize, cause: FailureCause, attempts: u32) {
         if index < self.cells.len() && !self.merged.contains_key(&index) {
@@ -666,12 +667,12 @@ impl MergeState {
         }
     }
 
-    /// Dispatches one worker output line. A verification failure (wire
+    /// Dispatches one streamed shard line. A verification failure (wire
     /// checksum, architectural checksum, malformed document) is an `Err`:
     /// the line is rejected, the cell stays [`MergeState::missing`], and
     /// the coordinator's retry/report machinery picks it up.
     pub fn on_line(&mut self, line: &str) -> Result<WireLine, String> {
-        let doc = Json::parse(line).map_err(|e| format!("bad worker line: {e}"))?;
+        let doc = Json::parse(line).map_err(|e| format!("bad shard line: {e}"))?;
         if let Some(result) = doc.get("result") {
             let f = |k: &str| result.get(k).and_then(Json::as_f64).unwrap_or(0.0);
             return Ok(WireLine::Done(ShardStats {
@@ -690,11 +691,11 @@ impl MergeState {
                 .to_string();
             return Ok(WireLine::Failed(msg));
         }
-        let params = doc.get("params").ok_or("worker event missing params")?;
+        let params = doc.get("params").ok_or("shard event missing params")?;
         let index = params
             .get("index")
             .and_then(Json::as_u64)
-            .ok_or("worker event missing index")? as usize;
+            .ok_or("shard event missing index")? as usize;
         match doc.get("method").and_then(Json::as_str) {
             Some("cell") => {
                 self.on_cell(index, params)?;
@@ -708,7 +709,7 @@ impl MergeState {
                 self.on_cell_failed(index, params)?;
                 Ok(WireLine::Event)
             }
-            other => Err(format!("unknown worker event {other:?}")),
+            other => Err(format!("unknown shard event {other:?}")),
         }
     }
 
@@ -741,7 +742,7 @@ impl MergeState {
                 ));
             }
         }
-        // Duplicate deliveries (a cell re-run on the retry worker after a
+        // Duplicate deliveries (a cell re-run on a retry rung after a
         // mid-stream crash) are deterministic replicas; first write wins.
         self.merged.entry(index).or_insert(result);
         Ok(())
@@ -810,11 +811,11 @@ impl MergeState {
     /// Assembles the merged run with *canonical* engine stats — the
     /// numbers the in-process engine would report for `plan`: dedup
     /// counters from the plan, one selection-cache miss per selection
-    /// job, the coordinator's own thread count. The coordinator is a pure
-    /// merge (it computes nothing), so deriving these from the plan
-    /// rather than summing worker-local views is what keeps the merged
-    /// artifact byte-identical to the single-process one. Only wall-clock
-    /// totals and in-cell retry counts come from the workers, and
+    /// job, the coordinator's own thread count. The merge computes
+    /// nothing itself (even the in-process rung reports through it), so
+    /// deriving these from the plan rather than summing shard-local views is what keeps the merged
+    /// artifact byte-identical to the in-process one. Only wall-clock
+    /// totals and in-cell retry counts come from the shards, and
     /// `deterministic` zeroes the former.
     pub fn finish(self, plan: &Plan, totals: ShardStats, deterministic: bool) -> EngineRun {
         let MergeState {
@@ -830,7 +831,7 @@ impl MergeState {
         let workloads = engine::workload_infos(scale, &cells);
         let mut merged_cells: Vec<CellResult> = merged.into_values().collect();
         if deterministic {
-            // Workers zero their own wall-clock before it hits the wire,
+            // Shards zero their own wall-clock before it hits the wire,
             // but checkpoint-restored cells still carry the interrupted
             // run's real timings — zero them the same way the in-process
             // engine does at assembly.
@@ -890,18 +891,12 @@ impl MergeState {
 /// silence on an open remote stream before the dispatch is abandoned and
 /// its cells fall to the next rung of the degradation ladder).
 pub const REMOTE_IDLE_ENV: &str = "T1000_REMOTE_IDLE_MS";
-/// Environment override for the per-shard soft deadline (milliseconds a
-/// whole remote dispatch may take, unset = none).
-pub const REMOTE_DEADLINE_ENV: &str = "T1000_REMOTE_DEADLINE_MS";
 
-/// Where one wave entry's work executes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum WorkerTarget {
-    /// A `t1000 worker` child process on this machine.
-    Local,
-    /// The remote `t1000 serve --tcp` endpoint at `RemoteState::addrs[i]`.
-    Remote(usize),
-}
+/// Longest line a remote stream may send. A cell document is a few
+/// kilobytes; a peer that streams this much without a newline is broken,
+/// and its dispatch fails into the degradation ladder instead of growing
+/// the coordinator's buffer without bound.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Per-endpoint dispatch accounting, reported in the `.shards.json`
 /// sidecar's `endpoints` array.
@@ -913,38 +908,34 @@ struct EndpointStats {
 }
 
 /// The remote endpoint pool: addresses, per-endpoint counters, and the
-/// two stream watchdog knobs.
+/// idle-stream watchdog.
 struct RemoteState {
     addrs: Vec<String>,
     stats: Mutex<Vec<EndpointStats>>,
     /// Max silence on an open stream before the dispatch is abandoned.
     idle: Duration,
-    /// Optional soft deadline for one whole shard dispatch.
-    deadline: Option<Duration>,
 }
 
 impl RemoteState {
     fn new(addrs: &[String]) -> RemoteState {
-        let ms = |env: &str| {
-            std::env::var(env)
-                .ok()
-                .and_then(|v| v.trim().parse::<u64>().ok())
-        };
+        let idle_ms = std::env::var(REMOTE_IDLE_ENV)
+            .ok()
+            .and_then(|v| v.trim().parse::<u64>().ok())
+            .unwrap_or(120_000);
         RemoteState {
             addrs: addrs.to_vec(),
             stats: Mutex::new(vec![EndpointStats::default(); addrs.len()]),
-            idle: Duration::from_millis(ms(REMOTE_IDLE_ENV).unwrap_or(120_000)),
-            deadline: ms(REMOTE_DEADLINE_ENV).map(Duration::from_millis),
+            idle: Duration::from_millis(idle_ms),
         }
     }
 }
 
 /// A line-oriented reader over one remote dispatch's TCP stream. Reads in
-/// short timeout slices so two watchdogs can interleave: an *idle* timer
-/// (time since the last byte arrived) and an optional overall *deadline*
-/// — together they turn a hung network into a typed, retryable error
-/// instead of a stuck coordinator. Buffers raw bytes and splits on `\n`
-/// itself, so a read timeout mid-line never loses partial data.
+/// short timeout slices so an *idle* watchdog (time since the last byte
+/// arrived) turns a hung network into a typed, retryable error instead
+/// of a stuck coordinator. Buffers raw bytes and splits on `\n` itself,
+/// so a read timeout mid-line never loses partial data; a line longer
+/// than [`MAX_LINE_BYTES`] is an error.
 struct RemoteReader {
     stream: TcpStream,
     buf: Vec<u8>,
@@ -972,12 +963,7 @@ impl RemoteReader {
     /// Next newline-terminated line; `Ok(None)` is a clean EOF. `stalled`
     /// simulates a `netstall@` fault: reads are skipped entirely, so the
     /// genuine idle-watchdog branch is what fires.
-    fn read_line(
-        &mut self,
-        idle: Duration,
-        deadline: Option<Instant>,
-        stalled: bool,
-    ) -> Result<Option<String>, String> {
+    fn read_line(&mut self, idle: Duration, stalled: bool) -> Result<Option<String>, String> {
         let mut last_byte = Instant::now();
         loop {
             if !stalled {
@@ -985,10 +971,8 @@ impl RemoteReader {
                     let line: Vec<u8> = self.buf.drain(..=pos).collect();
                     return Ok(Some(String::from_utf8_lossy(&line[..pos]).into_owned()));
                 }
-            }
-            if let Some(d) = deadline {
-                if Instant::now() >= d {
-                    return Err("shard soft deadline exceeded".to_string());
+                if self.buf.len() > MAX_LINE_BYTES {
+                    return Err(format!("line exceeds {MAX_LINE_BYTES} bytes"));
                 }
             }
             if last_byte.elapsed() >= idle {
@@ -1042,7 +1026,7 @@ fn connect_and_handshake(addr: &str) -> Result<RemoteReader, String> {
     ]);
     reader.write_line(&ping.to_string_compact())?;
     let line = reader
-        .read_line(Duration::from_secs(5), None, false)?
+        .read_line(Duration::from_secs(5), false)?
         .ok_or("connection closed during handshake")?;
     let doc = Json::parse(&line).map_err(|e| format!("bad ping response: {e}"))?;
     let result = doc
@@ -1074,43 +1058,30 @@ fn net_backoff(retry: &RetryPolicy, shard: usize, attempt: u32) -> Duration {
     Duration::from_millis(capped + jitter)
 }
 
-/// Dispatches one shard's work to a remote endpoint and merges the
-/// streamed events — the remote counterpart of [`drive_one`], plus the
-/// fault-tolerance layer: connect retry with [`net_backoff`], the
-/// [`connect_and_handshake`] health probe, idle/deadline stream
-/// watchdogs, and the injected `net*@` arms (fired only when
+/// Dispatches one wave entry to its remote endpoint and merges the
+/// streamed events, behind the fault-tolerance layer: connect retry with
+/// [`net_backoff`], the [`connect_and_handshake`] health probe, the idle
+/// stream watchdog, and the injected `net*@` arms (fired only when
 /// `inject_net`, i.e. on first-wave dispatches — retries run clean).
-#[allow(clippy::too_many_arguments)]
-fn drive_remote(
-    ctx: &WaveCtx<'_>,
-    remote: &RemoteState,
-    endpoint: usize,
-    shard: usize,
-    cells: &[usize],
-    keys: &[usize],
-    faults: &FaultPlan,
-    inject_net: bool,
-    flush: &(dyn Fn(&MergeState) + Sync),
-) -> Result<(), String> {
-    let addr = remote
-        .addrs
-        .get(endpoint)
-        .ok_or("endpoint index out of range")?;
+fn drive_remote(ctx: &WaveCtx<'_>, entry: &WaveEntry) -> Result<(), String> {
+    let remote = ctx.remote;
+    let addr = &remote.addrs[entry.endpoint];
     let retry = ctx.config.retry;
     let fail = |msg: String| -> Result<(), String> {
-        lock(&remote.stats)[endpoint].failures += 1;
+        lock(&remote.stats)[entry.endpoint].failures += 1;
         Err(format!("tcp://{addr}: {msg}"))
     };
+    let faults = &ctx.config.faults;
+    let shard = entry.shard;
 
     let mut reader = None;
     let mut last_err = String::new();
     for attempt in 1..=retry.max_attempts {
-        let wait = net_backoff(&retry, shard, attempt);
         if attempt > 1 {
-            std::thread::sleep(wait);
-            lock(&remote.stats)[endpoint].connect_retries += 1;
+            std::thread::sleep(net_backoff(&retry, shard, attempt));
+            lock(&remote.stats)[entry.endpoint].connect_retries += 1;
         }
-        if inject_net && ctx.config.faults.net_connect_fails(shard, attempt) {
+        if entry.inject_net && faults.net_connect_fails(shard, attempt) {
             last_err = format!("injected connect refusal (attempt {attempt})");
             continue;
         }
@@ -1128,15 +1099,22 @@ fn drive_remote(
             retry.max_attempts
         ));
     };
-    lock(&remote.stats)[endpoint].dispatches += 1;
+    lock(&remote.stats)[entry.endpoint].dispatches += 1;
 
-    let request = shard_request(ctx.plan_name, ctx.scale, cells, keys, ctx.config, faults);
+    let request = shard_request(
+        (ctx.plan_name, ctx.knobs),
+        ctx.scale,
+        &entry.cells,
+        &entry.keys,
+        ctx.config,
+        &entry.faults,
+    );
     if let Err(e) = reader.write_line(&request.to_string_compact()) {
         return fail(e);
     }
 
-    let drop_midstream = inject_net && ctx.config.faults.net_drop(shard);
-    let stalled = inject_net && ctx.config.faults.net_stall(shard);
+    let drop_midstream = entry.inject_net && faults.net_drop(shard);
+    let stalled = entry.inject_net && faults.net_stall(shard);
     // An injected stall still times out via the *real* watchdog branch —
     // just quickly, so chaos tests stay fast.
     let idle = if stalled {
@@ -1144,58 +1122,32 @@ fn drive_remote(
     } else {
         remote.idle
     };
-    let deadline = remote.deadline.map(|d| Instant::now() + d);
 
-    let mut done = false;
-    let mut refusal = None;
     loop {
-        let line = match reader.read_line(idle, deadline, stalled) {
+        let line = match reader.read_line(idle, stalled) {
             Ok(Some(line)) => line,
-            Ok(None) => break,
+            Ok(None) => return fail("stream ended without a final response".to_string()),
             Err(e) => return fail(e),
         };
         if line.trim().is_empty() {
             continue;
         }
-        let mut m = lock(ctx.merge);
-        match m.on_line(&line) {
-            Ok(WireLine::Cell) => {
-                flush(&m);
-                drop(m);
-                if drop_midstream {
-                    // First cell merged; the "network" now cuts the
-                    // stream. Everything unmerged heals downstream.
-                    return fail("injected mid-stream disconnect".to_string());
-                }
+        match ctx.merge_line(&line) {
+            // First cell merged; the "network" now cuts the stream.
+            // Everything unmerged heals downstream.
+            Ok(WireLine::Cell) if drop_midstream => {
+                return fail("injected mid-stream disconnect".to_string())
             }
-            Ok(WireLine::Event) => {}
-            Ok(WireLine::Done(s)) => {
-                drop(m);
-                let mut t = lock(ctx.totals);
-                t.retries += s.retries;
-                t.prepare_secs += s.prepare_secs;
-                t.select_secs += s.select_secs;
-                t.simulate_secs += s.simulate_secs;
-                t.selection_compute_secs += s.selection_compute_secs;
-                done = true;
-                // Unlike a child worker, the serve connection stays open
-                // after the final envelope — break, don't wait for EOF.
-                break;
-            }
+            Ok(WireLine::Cell | WireLine::Event) => {}
+            // The serve connection stays open after the final envelope —
+            // return, don't wait for EOF.
+            Ok(WireLine::Done(_)) => return Ok(()),
             Ok(WireLine::Failed(msg)) => {
-                refusal = Some(msg);
-                break;
+                return fail(format!("endpoint rejected the request: {msg}"))
             }
             Err(e) => eprintln!("[t1000-bench] shard {shard}: rejected remote line: {e}"),
         }
     }
-    if let Some(msg) = refusal {
-        return fail(format!("endpoint rejected the request: {msg}"));
-    }
-    if !done {
-        return fail("stream ended without a final response".to_string());
-    }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -1211,66 +1163,85 @@ pub struct ShardedRun {
 }
 
 struct WaveCtx<'a> {
-    exe: &'a std::path::Path,
     plan_name: &'a str,
+    knobs: PlaneKnobs,
     scale: Scale,
     config: &'a EngineConfig,
+    remote: &'a RemoteState,
     merge: &'a Mutex<MergeState>,
     totals: &'a Mutex<ShardStats>,
+    /// Checkpoint flush, run after every merged cell.
+    flush: &'a (dyn Fn(&MergeState) + Sync),
+}
+
+impl WaveCtx<'_> {
+    /// Feeds one streamed line through the double-checksum merge, flushes
+    /// the checkpoint after a merged cell and folds a final envelope into
+    /// the totals — the one merge step every rung of the ladder shares.
+    fn merge_line(&self, line: &str) -> Result<WireLine, String> {
+        let mut m = lock(self.merge);
+        let wire = m.on_line(line)?;
+        match &wire {
+            WireLine::Cell => (self.flush)(&m),
+            WireLine::Done(s) => lock(self.totals).add(s),
+            WireLine::Event | WireLine::Failed(_) => {}
+        }
+        Ok(wire)
+    }
 }
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// One shard's dispatch: its assigned global cells and selection keys,
-/// the worker-local fault plan, the execution target, and whether the
-/// coordinator-side `net*@` arms may fire (first-wave dispatches only —
-/// every retry rung runs with injection disarmed, so each network fault
-/// fires at most once and the run always heals).
+/// One remote dispatch: the shard label, the endpoint it goes to, its
+/// assigned global cells and selection keys, the endpoint-local fault
+/// plan, and whether the coordinator-side `net*@` arms may fire
+/// (first-wave dispatches only — every retry rung runs with injection
+/// disarmed, so each network fault fires at most once and the run always
+/// heals).
 struct WaveEntry {
     shard: usize,
+    endpoint: usize,
     cells: Vec<usize>,
     keys: Vec<usize>,
     faults: FaultPlan,
-    target: WorkerTarget,
     inject_net: bool,
 }
 
-/// Executes `plan` (named `plan_name` on the wire) across `shards`
-/// worker processes and merges the streamed results. Honors the
-/// coordinator-side parts of `config` — checkpoint/resume, fault
-/// injection (cell arms are forwarded to the owning worker, I/O arms
-/// stay local), determinism — and forwards the per-simulation knobs to
-/// every worker. Workers run single-threaded (`T1000_THREADS=1`): the
-/// process is the unit of parallelism, so `--shards N` vs `--shards 1`
-/// is an apples-to-apples scaling comparison.
+/// Executes the plan `plan_name` (built with `knobs`, see
+/// [`plan_by_name`]) across the `remotes` endpoints — one shard per
+/// endpoint, shard `s` to endpoint `s` — and merges the streamed results.
+/// Honors the coordinator-side parts of `config` — checkpoint/resume,
+/// fault injection (cell arms are forwarded to the owning endpoint,
+/// network arms fire in the transport, I/O arms stay local), determinism
+/// — and forwards the per-simulation knobs to every endpoint.
 ///
-/// With a non-empty `remotes` list, first-wave shard `s` is dispatched to
-/// endpoint `s % remotes.len()` over TCP instead of a child process, and
-/// unaccounted work walks the degradation ladder: re-dispatch to each
-/// surviving (ping-healthy) remote endpoint, then fall back to a local
-/// child worker — the artifact stays byte-identical to the all-local run
-/// whichever rung completes the cells.
+/// Unaccounted work walks the degradation ladder: re-dispatch to each
+/// surviving (ping-healthy) endpoint, then the coordinator's own
+/// in-process engine — the artifact stays byte-identical to the
+/// in-process run whichever rung completes the cells.
 pub fn run_sharded(
-    plan: &Plan,
     plan_name: &str,
+    knobs: PlaneKnobs,
     scale: Scale,
-    shards: usize,
     config: &EngineConfig,
     remotes: &[String],
 ) -> Result<ShardedRun, String> {
-    let shards = shards.max(1);
+    if remotes.is_empty() {
+        return Err("sharded execution needs at least one remote endpoint".to_string());
+    }
+    let shards = remotes.len();
+    let plan =
+        plan_by_name(plan_name, knobs).ok_or_else(|| format!("unknown plan {plan_name:?}"))?;
     if !plan.selection_only().is_empty() {
         return Err("sharded execution supports cell-only plans".to_string());
     }
-    let exe =
-        std::env::current_exe().map_err(|e| format!("cannot locate the t1000 binary: {e}"))?;
 
-    let mut merge = MergeState::new(plan, scale);
-    // Resume: cells any previous run — sharded or single-process, the
+    let mut merge = MergeState::new(&plan, scale);
+    // Resume: cells any previous run — sharded or in-process, the
     // checkpoint format is shared — already completed are restored and
-    // never assigned to a worker.
+    // never dispatched.
     if let Some(path) = &config.checkpoint {
         if config.resume && path.exists() {
             match checkpoint::load(path, scale) {
@@ -1288,15 +1259,15 @@ pub fn run_sharded(
     let restored_cells = merge.restored_count();
 
     let remaining = merge.missing();
-    let assignment = partition(plan, &remaining, shards);
+    let assignment = partition(&plan, &remaining, shards);
     let per_shard: Vec<usize> = assignment.iter().map(Vec::len).collect();
 
     // Selection keys no remaining cell implies (their whole group was
     // restored from the checkpoint) still owe their records: the
-    // single-process engine recomputes every selection on resume, and
+    // in-process engine recomputes every selection on resume, and
     // byte-identity demands we do too. Assign each orphan key to the
     // shard that owns its group; on a fresh run this set is empty.
-    let all_keys = engine::selection_keys(plan);
+    let all_keys = engine::selection_keys(&plan);
     let key_index: HashMap<(&'static str, ExtractConfig, SelectionSpec), usize> = all_keys
         .iter()
         .copied()
@@ -1315,7 +1286,7 @@ pub fn run_sharded(
     let orphans: Vec<usize> = (0..all_keys.len())
         .filter(|k| !covered.contains(k))
         .collect();
-    let key_assignment = partition_selections(plan, &orphans, shards);
+    let key_assignment = partition_selections(&plan, &orphans, shards);
 
     let merge = Mutex::new(merge);
     let totals = Mutex::new(ShardStats::default());
@@ -1335,17 +1306,17 @@ pub fn run_sharded(
             }
         }
     };
+    let remote = RemoteState::new(remotes);
     let ctx = WaveCtx {
-        exe: &exe,
         plan_name,
+        knobs,
         scale,
         config,
+        remote: &remote,
         merge: &merge,
         totals: &totals,
+        flush: &flush,
     };
-
-    let remote = RemoteState::new(remotes);
-    let n_remotes = remote.addrs.len();
     let mut degradations: Vec<String> = Vec::new();
 
     let wave: Vec<WaveEntry> = assignment
@@ -1353,97 +1324,94 @@ pub fn run_sharded(
         .zip(key_assignment)
         .enumerate()
         .filter(|(_, (cells, keys))| !cells.is_empty() || !keys.is_empty())
-        .map(|(s, (cells, keys))| {
-            let local = local_faults(&config.faults, plan.cells(), &cells);
-            let target = if n_remotes > 0 {
-                WorkerTarget::Remote(s % n_remotes)
-            } else {
-                WorkerTarget::Local
-            };
-            WaveEntry {
-                shard: s,
-                cells,
-                keys,
-                faults: local,
-                target,
-                inject_net: n_remotes > 0,
-            }
+        .map(|(s, (cells, keys))| WaveEntry {
+            shard: s,
+            endpoint: s,
+            faults: local_faults(&config.faults, plan.cells(), &cells),
+            cells,
+            keys,
+            inject_net: true,
         })
         .collect();
-    let crashed = drive_wave(&ctx, &remote, &wave, &flush);
-    let mut worker_crashes = crashed.len();
+    let mut worker_crashes = drive_wave(&ctx, &wave);
 
-    // Crash recovery — the degradation ladder. Rung 1 (remote runs
-    // only): re-dispatch everything unaccounted for to each surviving
-    // endpoint in turn, health-probed first, until the run heals. Rung 2:
-    // one local replacement child worker. Both rungs strip process-abort
-    // injections and run with network injection disarmed so the retry can
-    // complete; anything still missing after the ladder is reported on
-    // the schema-v3 `failed_cells` path.
-    let mut retried: BTreeSet<usize> = BTreeSet::new();
-    let (mut missing, mut missing_sel) = {
+    // Crash recovery — the degradation ladder. Rung 1: re-dispatch
+    // everything unaccounted for to each surviving endpoint in turn,
+    // health-probed first, until the run heals. Rung 2: the coordinator
+    // runs what is left in-process. Both rungs strip process-abort
+    // injections and run with network injection disarmed so the retry
+    // can complete; anything still missing after the ladder is reported
+    // on the schema-v3 `failed_cells` path.
+    let stripped = config.faults.without_aborts();
+    let unaccounted = || {
         let m = lock(&merge);
         (m.missing(), m.missing_selections())
     };
-    if n_remotes > 0 && (!missing.is_empty() || !missing_sel.is_empty()) {
-        let stripped = config.faults.without_aborts();
-        for endpoint in 0..n_remotes {
-            if missing.is_empty() && missing_sel.is_empty() {
-                break;
-            }
-            let addr = &remote.addrs[endpoint];
-            if let Err(e) = connect_and_handshake(addr) {
-                eprintln!("[t1000-bench] tcp://{addr}: unhealthy, skipping retry rung: {e}");
-                continue;
-            }
-            eprintln!(
-                "[t1000-bench] {} cell(s) and {} selection(s) unaccounted for; retrying on surviving endpoint tcp://{addr}",
-                missing.len(),
-                missing_sel.len()
-            );
-            degradations.push(format!("remote_retry:tcp://{addr}"));
-            let local = local_faults(&stripped, plan.cells(), &missing);
-            retried.extend(missing.iter().copied());
-            let entry = WaveEntry {
-                shard: shards,
-                cells: missing,
-                keys: missing_sel,
-                faults: local,
-                target: WorkerTarget::Remote(endpoint),
-                inject_net: false,
-            };
-            worker_crashes += drive_wave(&ctx, &remote, &[entry], &flush).len();
-            let m = lock(&merge);
-            missing = m.missing();
-            missing_sel = m.missing_selections();
+    let mut retried: BTreeSet<usize> = BTreeSet::new();
+    let (mut missing, mut missing_sel) = unaccounted();
+    for endpoint in 0..shards {
+        if missing.is_empty() && missing_sel.is_empty() {
+            break;
         }
-    }
-    if !missing.is_empty() || !missing_sel.is_empty() {
+        let addr = &remote.addrs[endpoint];
+        if let Err(e) = connect_and_handshake(addr) {
+            eprintln!("[t1000-bench] tcp://{addr}: unhealthy, skipping retry rung: {e}");
+            continue;
+        }
         eprintln!(
-            "[t1000-bench] {} cell(s) and {} selection(s) unaccounted for after the first wave; retrying on a fresh worker",
+            "[t1000-bench] {} cell(s) and {} selection(s) unaccounted for; retrying on surviving endpoint tcp://{addr}",
             missing.len(),
             missing_sel.len()
         );
-        if n_remotes > 0 {
-            degradations.push("local_fallback".to_string());
-        }
-        let stripped = config.faults.without_aborts();
-        let local = local_faults(&stripped, plan.cells(), &missing);
+        degradations.push(format!("remote_retry:tcp://{addr}"));
         retried.extend(missing.iter().copied());
         let entry = WaveEntry {
             shard: shards,
+            endpoint,
+            faults: local_faults(&stripped, plan.cells(), &missing),
             cells: missing,
             keys: missing_sel,
-            faults: local,
-            target: WorkerTarget::Local,
             inject_net: false,
         };
-        worker_crashes += drive_wave(&ctx, &remote, &[entry], &flush).len();
+        worker_crashes += drive_wave(&ctx, &[entry]);
+        (missing, missing_sel) = unaccounted();
+    }
+    if !missing.is_empty() || !missing_sel.is_empty() {
+        eprintln!(
+            "[t1000-bench] {} cell(s) and {} selection(s) unaccounted for after the remote rungs; running them in-process",
+            missing.len(),
+            missing_sel.len()
+        );
+        degradations.push("local_fallback".to_string());
+        retried.extend(missing.iter().copied());
+        let job = ShardJob {
+            plan: plan.clone(),
+            scale,
+            config: EngineConfig {
+                faults: local_faults(&stripped, plan.cells(), &missing),
+                checkpoint: None,
+                resume: false,
+                ..config.clone()
+            },
+            indices: missing,
+            key_indices: missing_sel,
+        };
+        let mut emit = |doc: Json| -> Result<(), String> {
+            if let Err(e) = ctx.merge_line(&doc.to_string_compact()) {
+                eprintln!("[t1000-bench] in-process rung: rejected line: {e}");
+            }
+            Ok(())
+        };
+        // `emit` never fails, so neither does the rung: a cell the engine
+        // cannot complete comes back as a `cell_failed` event.
+        let _ = execute_shard(&job, &Json::UInt(0), &mut emit);
+    }
+    {
         let mut m = lock(&merge);
         for i in m.missing() {
             m.fail(
                 i,
-                FailureCause::Panic(format!("worker process crashed before completing cell {i}")),
+                FailureCause::Panic(format!("no rung of the ladder completed cell {i}")),
                 1,
             );
         }
@@ -1459,7 +1427,7 @@ pub fn run_sharded(
         .stats
         .into_inner()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let run = merge.finish(plan, totals, config.deterministic);
+    let run = merge.finish(&plan, totals, config.deterministic);
     let sidecar = Json::obj(vec![
         ("schema_version", Json::UInt(2)),
         ("kind", Json::Str("t1000.bench-shards".to_string())),
@@ -1474,7 +1442,7 @@ pub fn run_sharded(
             "retried_cells",
             Json::Arr(retried.iter().map(|&i| Json::UInt(i as u64)).collect()),
         ),
-        ("remotes", Json::UInt(n_remotes as u64)),
+        ("remotes", Json::UInt(shards as u64)),
         (
             "endpoints",
             Json::Arr(
@@ -1501,123 +1469,26 @@ pub fn run_sharded(
     Ok(ShardedRun { run, sidecar })
 }
 
-/// Drives one wave's entries concurrently — child workers and remote
-/// dispatches alike — and returns the shard labels that failed (crashed
-/// worker, refused connection, dropped or stalled stream).
-fn drive_wave(
-    ctx: &WaveCtx<'_>,
-    remote: &RemoteState,
-    wave: &[WaveEntry],
-    flush: &(dyn Fn(&MergeState) + Sync),
-) -> Vec<usize> {
+/// Drives one wave's dispatches concurrently and returns how many failed
+/// (refused connection, dropped or stalled stream, crashed endpoint).
+fn drive_wave(ctx: &WaveCtx<'_>, wave: &[WaveEntry]) -> usize {
     std::thread::scope(|scope| {
         let handles: Vec<_> = wave
             .iter()
-            .map(|e| {
-                scope.spawn(move || {
-                    let result = match e.target {
-                        WorkerTarget::Local => {
-                            drive_one(ctx, e.shard, &e.cells, &e.keys, &e.faults, flush)
-                        }
-                        WorkerTarget::Remote(i) => drive_remote(
-                            ctx,
-                            remote,
-                            i,
-                            e.shard,
-                            &e.cells,
-                            &e.keys,
-                            &e.faults,
-                            e.inject_net,
-                            flush,
-                        ),
-                    };
-                    (e.shard, result)
-                })
-            })
+            .map(|entry| (entry.shard, scope.spawn(move || drive_remote(ctx, entry))))
             .collect();
-        handles
-            .into_iter()
-            .filter_map(|h| {
-                let (shard, result) = h
-                    .join()
-                    .unwrap_or((usize::MAX, Err("worker driver thread panicked".to_string())));
-                match result {
-                    Ok(()) => None,
-                    Err(e) => {
-                        eprintln!("[t1000-bench] shard {shard}: {e}");
-                        Some(shard)
-                    }
-                }
-            })
-            .collect()
-    })
-}
-
-fn drive_one(
-    ctx: &WaveCtx<'_>,
-    shard: usize,
-    cells: &[usize],
-    keys: &[usize],
-    faults: &FaultPlan,
-    flush: &(dyn Fn(&MergeState) + Sync),
-) -> Result<(), String> {
-    let mut child = std::process::Command::new(ctx.exe)
-        .arg("worker")
-        // One OS process is the unit of parallelism: each worker's
-        // engine runs single-threaded.
-        .env("T1000_THREADS", "1")
-        .stdin(std::process::Stdio::piped())
-        .stdout(std::process::Stdio::piped())
-        .spawn()
-        .map_err(|e| format!("spawning worker: {e}"))?;
-    let request = shard_request(ctx.plan_name, ctx.scale, cells, keys, ctx.config, faults);
-    if let Some(mut stdin) = child.stdin.take() {
-        // A worker that died before reading surfaces below as EOF.
-        let _ = writeln!(stdin, "{}", request.to_string_compact());
-    } // dropping stdin closes the pipe: the worker sees exactly one line
-    let Some(stdout) = child.stdout.take() else {
-        let _ = child.kill();
-        let _ = child.wait();
-        return Err("worker stdout unavailable".to_string());
-    };
-    let mut done = false;
-    let mut refusal = None;
-    for line in std::io::BufReader::new(stdout).lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let mut m = lock(ctx.merge);
-        match m.on_line(&line) {
-            Ok(WireLine::Cell) => flush(&m),
-            Ok(WireLine::Event) => {}
-            Ok(WireLine::Done(s)) => {
-                drop(m);
-                let mut t = lock(ctx.totals);
-                t.retries += s.retries;
-                t.prepare_secs += s.prepare_secs;
-                t.select_secs += s.select_secs;
-                t.simulate_secs += s.simulate_secs;
-                t.selection_compute_secs += s.selection_compute_secs;
-                done = true;
+        let mut failed = 0;
+        for (shard, handle) in handles {
+            let result = handle
+                .join()
+                .unwrap_or_else(|_| Err("dispatch thread panicked".to_string()));
+            if let Err(e) = result {
+                eprintln!("[t1000-bench] shard {shard}: {e}");
+                failed += 1;
             }
-            Ok(WireLine::Failed(msg)) => refusal = Some(msg),
-            Err(e) => eprintln!("[t1000-bench] shard {shard}: rejected worker line: {e}"),
         }
-    }
-    let status = child
-        .wait()
-        .map_err(|e| format!("waiting for worker: {e}"))?;
-    if let Some(msg) = refusal {
-        return Err(format!("worker rejected the request: {msg}"));
-    }
-    if !done {
-        return Err(format!("worker exited without a final response ({status})"));
-    }
-    if !status.success() {
-        return Err(format!("worker exited with {status}"));
-    }
-    Ok(())
+        failed
+    })
 }
 
 #[cfg(test)]
@@ -1825,7 +1696,7 @@ mod tests {
         let plan = small_plan();
         let mut merge = MergeState::new(&plan, Scale::Test);
         assert_eq!(merge.missing().len(), plan.cells().len());
-        merge.fail(2, FailureCause::Panic("worker process crashed".into()), 1);
+        merge.fail(2, FailureCause::Panic("endpoint crashed".into()), 1);
         assert!(!merge.missing().contains(&2));
         let run = merge.finish(&plan, ShardStats::default(), true);
         assert_eq!(run.failures.len(), 1);
@@ -1836,43 +1707,119 @@ mod tests {
 
     #[test]
     fn worker_streams_exactly_the_assigned_cells() {
-        // One group of the full run_all plan, through the real worker
-        // entry point (in-memory pipes instead of a process).
+        // One group of the full run_all plan, through the endpoint entry
+        // points (`parse_shard_params` + `execute_shard`) with an
+        // in-memory sink instead of a socket.
         let plan = run_all_plan();
         let all: Vec<usize> = (0..plan.cells().len()).collect();
         let indices = partition(&plan, &all, 8)[0].clone();
         assert!(!indices.is_empty());
         let req = shard_request(
-            "run_all",
+            ("run_all", DEFAULT_PLANE),
             Scale::Test,
             &indices,
             &[],
             &det_config(),
             &FaultPlan::none(),
         );
-        let mut out = Vec::new();
-        let code = run_worker(
-            format!("{}\n", req.to_string_compact()).as_bytes(),
-            &mut out,
-        );
-        assert_eq!(code, 0);
-        let text = String::from_utf8(out).unwrap();
+        let job = parse_shard_params(req.get("params").unwrap()).unwrap();
+        let mut lines = Vec::new();
+        execute_shard(&job, &Json::UInt(0), &mut |doc| {
+            lines.push(doc.to_string_compact());
+            Ok(())
+        })
+        .unwrap();
         let mut merge = MergeState::new(&plan, Scale::Test);
         let mut done = false;
-        for line in text.lines() {
+        for line in &lines {
             if let WireLine::Done(_) = merge.on_line(line).unwrap() {
                 done = true;
             }
         }
-        assert!(done, "worker must end with the final envelope");
+        assert!(done, "a shard must end with the final envelope");
         let completed: Vec<usize> = merge.completed().keys().copied().collect();
         assert_eq!(completed, indices);
 
-        // A malformed request earns an error envelope and a nonzero exit.
-        let mut out = Vec::new();
-        let code = run_worker(&b"{\"method\":\"nope\"}\n"[..], &mut out);
-        assert_ne!(code, 0);
-        assert!(String::from_utf8(out).unwrap().contains("\"error\""));
+        // A malformed request is rejected before anything executes.
+        assert!(parse_shard_params(&Json::parse(r#"{"plan":"nope"}"#).unwrap()).is_err());
+    }
+
+    #[test]
+    fn config_plane_knobs_ride_the_shard_request() {
+        let knobs = (2, 2, 0.0);
+        let req = shard_request(
+            ("run_all", knobs),
+            Scale::Test,
+            &[1],
+            &[],
+            &det_config(),
+            &FaultPlan::none(),
+        );
+        let job = parse_shard_params(req.get("params").unwrap()).unwrap();
+        let expected = plan_by_name("run_all", knobs).unwrap();
+        assert_eq!(job.plan.cells(), expected.cells());
+        assert_ne!(
+            job.plan.cells(),
+            plan_by_name("run_all", DEFAULT_PLANE).unwrap().cells(),
+            "knobs must reach the endpoint's plan"
+        );
+        // Knobs outside the machine model are typed request errors.
+        for (key, bad) in [
+            ("pfu_planes", Json::UInt(3)),
+            ("pfu_prefetch", Json::Int(-1)),
+            ("conf_compress", Json::Float(-1.0)),
+        ] {
+            let mut params = req.get("params").unwrap().clone();
+            if let Json::Obj(pairs) = &mut params {
+                pairs.retain(|(k, _)| k != key);
+                pairs.push((key.to_string(), bad));
+            }
+            assert!(parse_shard_params(&params).is_err(), "{key} accepted");
+        }
+    }
+
+    #[test]
+    fn merge_rejects_a_document_from_a_different_machine() {
+        // An endpoint that built the default-machine plan streams a
+        // consistent, checksum-true document for a cell the coordinator
+        // planned with config-plane knobs: the merge must refuse it.
+        let plan = small_plan();
+        let knobbed = plan.with_config_plane(2, 2, 0.0);
+        let run = execute_with(&plan, Scale::Test, &det_config());
+        let target = &run.cells[1]; // a fused (non-baseline) cell
+        let gi = plan.cells().iter().position(|&c| c == target.cell).unwrap();
+        assert_eq!(knobbed.cells()[gi].workload, target.cell.workload);
+        assert_ne!(knobbed.cells()[gi].machine, target.cell.machine);
+
+        let line = cell_event(gi, target).to_string_compact();
+        let mut merge = MergeState::new(&knobbed, Scale::Test);
+        let err = merge.on_line(&line).unwrap_err();
+        assert!(err.contains("machine"), "{err}");
+        assert!(merge.missing().contains(&gi));
+        // The same line is accepted against the plan it was run for.
+        let mut merge = MergeState::new(&plan, Scale::Test);
+        assert!(matches!(merge.on_line(&line).unwrap(), WireLine::Cell));
+    }
+
+    #[test]
+    fn over_long_remote_lines_fail_the_dispatch() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let writer = std::thread::spawn(move || {
+            let (mut peer, _) = listener.accept().unwrap();
+            // No newline, ever: the reader must give up at the cap rather
+            // than buffer without bound.
+            let chunk = vec![b'x'; 64 * 1024];
+            while peer.write_all(&chunk).is_ok() {}
+        });
+        let mut reader = RemoteReader::new(TcpStream::connect(addr).unwrap()).unwrap();
+        let err = reader
+            .read_line(Duration::from_secs(30), false)
+            .unwrap_err();
+        assert!(err.contains("exceeds"), "{err}");
+        assert!(reader.buf.len() <= MAX_LINE_BYTES + 4096);
+        drop(reader);
+        writer.join().unwrap();
     }
 
     #[test]
@@ -1911,7 +1858,7 @@ mod tests {
             ..det_config()
         };
         let req = shard_request(
-            "run_all",
+            ("run_all", DEFAULT_PLANE),
             Scale::Test,
             &[0],
             &[],
@@ -1924,7 +1871,7 @@ mod tests {
         // A request without the fields (an older coordinator) gets the
         // defaults — backoff_ms 0 on the wire means "default schedule".
         let req = shard_request(
-            "run_all",
+            ("run_all", DEFAULT_PLANE),
             Scale::Test,
             &[0],
             &[],
@@ -2018,7 +1965,7 @@ mod tests {
         let plan = small_plan();
         let all: Vec<usize> = (0..plan.cells().len()).collect();
         let parts = partition(&plan, &all, 2);
-        // One global arm per shard: each worker sees exactly its own,
+        // One global arm per shard: each endpoint sees exactly its own,
         // renumbered to its sub-plan.
         let g0 = parts[0][1]; // a non-baseline-first index on shard 0
         let g1 = parts[1][0];

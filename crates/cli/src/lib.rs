@@ -24,24 +24,19 @@
 //!                                               --strategies adds the knapsack
 //!                                               sweep cells; --no-fast-path
 //!                                               disables hot-loop replay)
-//!               [--shards N]                    partition the plan across N
-//!                                               worker processes and merge a
-//!                                               byte-identical artifact
-//!               [--remote HOST:PORT,...]        dispatch shards to remote
-//!                                               `t1000 serve --tcp` endpoints
-//!                                               (fault-tolerant: retry with
-//!                                               backoff, health probes, and
-//!                                               degradation to local workers)
+//!               [--remote HOST:PORT,...]        one shard per remote
+//!                                               `t1000 serve --tcp` endpoint,
+//!                                               merged into a byte-identical
+//!                                               artifact (fault-tolerant:
+//!                                               retry with backoff, health
+//!                                               probes, and degradation to
+//!                                               in-process execution)
 //!               [--retries N] [--backoff-ms M]  retry policy shared by cell
 //!                                               retry and remote connects
 //!                                               (env: T1000_RETRY=N[:M])
 //! t1000 bench   --validate <BENCH_results.json> [--expect KEY=VALUE,...]
 //!                                               re-check a results artifact
 //!                                               (+ declarative assertions)
-//! t1000 worker                                  shard worker: one run_shard
-//!                                               JSON-RPC request on stdin,
-//!                                               streamed results on stdout
-//!                                               (spawned by bench --shards)
 //! t1000 serve   [--socket PATH] [--tcp HOST:PORT] [--workers N] [--queue N]
 //!                                               JSON-RPC selection/simulation
 //!                                               daemon (docs/SERVING.md)
@@ -115,7 +110,6 @@ const BENCH_VALUE_OPTS: &[&str] = &[
     "inject",
     "max-cycles",
     "expect",
-    "shards",
     "remote",
     "retries",
     "backoff-ms",
@@ -147,7 +141,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         "profile" => cmd_profile(rest),
         "select" => cmd_select(rest),
         "bench" => cmd_bench(rest),
-        "worker" => cmd_worker(rest),
         "serve" => serve::cmd_serve(rest),
         "help" | "--help" | "-h" => Ok(usage()),
         other => err(format!("unknown command `{other}` (try `t1000 help`)")),
@@ -167,12 +160,11 @@ fn usage() -> String {
      \x20 t1000 select  <file|bench:name> [--strategy greedy|selective|knapsack] [--pfus N]\n\
      \x20               [--greedy] [--threshold F] [--lut-budget N] [--reload-weight W] [--explain] [--scale test|full]\n\
      \x20 t1000 bench   <name> [--scale test|full] [--pfus N] [--pfu-planes 1|2] [--pfu-prefetch N] [--conf-compress R]\n\
-     \x20 t1000 bench   --all [--scale test|full] [--json FILE] [--resume] [--shards N]\n\
+     \x20 t1000 bench   --all [--scale test|full] [--json FILE] [--resume]\n\
      \x20               [--remote HOST:PORT,...] [--retries N] [--backoff-ms M]\n\
      \x20               [--pfu-planes 1|2] [--pfu-prefetch N] [--conf-compress R]\n\
      \x20               [--deterministic] [--inject PLAN] [--max-cycles N] [--strategies] [--no-fast-path]\n\
      \x20 t1000 bench   --validate <BENCH_results.json> [--expect KEY=VALUE,...]\n\
-     \x20 t1000 worker  (internal: shard worker spawned by `bench --shards`; JSON-RPC on stdio)\n\
      \x20 t1000 serve   [--socket PATH] [--tcp HOST:PORT] [--workers N] [--queue N]  (JSON-RPC daemon; docs/SERVING.md)\n"
         .to_string()
 }
@@ -589,21 +581,6 @@ fn cmd_select(args: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `t1000 worker`: the shard-worker half of `bench --all --shards N`.
-/// Reads one `run_shard` JSON-RPC request on stdin and streams per-cell
-/// results on stdout; spawned (never typed by hand) by the coordinator.
-fn cmd_worker(args: &[String]) -> Result<String, CliError> {
-    if !args.is_empty() {
-        return err("worker: takes no arguments (it reads one JSON-RPC request on stdin)");
-    }
-    let stdin = std::io::stdin();
-    let mut stdout = std::io::stdout();
-    match t1000_bench::shard::run_worker(stdin.lock(), &mut stdout) {
-        0 => Ok(String::new()),
-        _ => err("worker: bad request (error envelope written to stdout)"),
-    }
-}
-
 fn cmd_bench(args: &[String]) -> Result<String, CliError> {
     let p = parse(args, BENCH_VALUE_OPTS, BENCH_FLAG_OPTS)?;
     let scale = match p.get("scale") {
@@ -617,11 +594,6 @@ fn cmd_bench(args: &[String]) -> Result<String, CliError> {
     if p.get("expect").is_some() {
         return err("bench: --expect requires --validate FILE");
     }
-    let shards = match p.get_u32("shards")? {
-        Some(0) => return err("bench: --shards must be at least 1"),
-        Some(n) => Some(n as usize),
-        None => None,
-    };
     let remotes: Vec<String> = match p.get("remote") {
         Some(spec) => {
             let list: Vec<String> = spec
@@ -651,25 +623,18 @@ fn cmd_bench(args: &[String]) -> Result<String, CliError> {
         None => 0.0,
     };
     if p.flag("all") {
-        if !remotes.is_empty() && shards.is_none() {
-            return err("bench: --remote requires --shards N");
-        }
         let config = engine_config(&p)?;
         return bench_all(
             scale,
             p.get("json"),
             &config,
             p.flag("strategies"),
-            shards,
             &remotes,
             (planes, prefetch, compress),
         );
     }
-    if shards.is_some() {
-        return err("bench: --shards requires --all");
-    }
     if !remotes.is_empty() {
-        return err("bench: --remote requires --all (and --shards N)");
+        return err("bench: --remote requires --all");
     }
     if p.get("retries").is_some() || p.get("backoff-ms").is_some() {
         return err("bench: --retries/--backoff-ms require --all");
@@ -796,9 +761,8 @@ fn bench_all(
     json: Option<&str>,
     config: &t1000_bench::engine::EngineConfig,
     strategies: bool,
-    shards: Option<usize>,
     remotes: &[String],
-    (planes, prefetch, compress): (u32, u32, f64),
+    knobs: t1000_bench::shard::PlaneKnobs,
 ) -> Result<String, CliError> {
     let mut config = config.clone();
     let checkpoint = json.map(|path| std::path::PathBuf::from(format!("{path}.partial")));
@@ -812,27 +776,17 @@ fn bench_all(
     } else {
         "run_all"
     };
-    let mut plan = if strategies {
-        t1000_bench::plan::run_all_plan_with_strategies()
-    } else {
-        t1000_bench::plan::run_all_plan()
-    };
-    // Default knobs keep the untouched plan object, so the artifact stays
-    // byte-identical to pre-v6 runs (cell order included).
-    if (planes, prefetch, compress) != (1, 0, 0.0) {
-        plan = plan.with_config_plane(planes, prefetch, compress);
-    }
-    let (run, sidecar) = match shards {
-        Some(n) => {
-            let sharded =
-                t1000_bench::shard::run_sharded(&plan, plan_name, scale, n, &config, remotes)
-                    .map_err(|e| CliError(format!("bench: {e}")))?;
-            (sharded.run, Some(sharded.sidecar))
-        }
-        None => (
+    let (run, sidecar) = if remotes.is_empty() {
+        let plan = t1000_bench::shard::plan_by_name(plan_name, knobs)
+            .ok_or_else(|| CliError(format!("bench: unknown plan {plan_name}")))?;
+        (
             t1000_bench::engine::execute_with(&plan, scale, &config),
             None,
-        ),
+        )
+    } else {
+        let sharded = t1000_bench::shard::run_sharded(plan_name, knobs, scale, &config, remotes)
+            .map_err(|e| CliError(format!("bench: {e}")))?;
+        (sharded.run, Some(sharded.sidecar))
     };
     if let Some(path) = json {
         t1000_bench::results::write_json_with_retry(
@@ -872,29 +826,21 @@ fn bench_all(
                 .and_then(t1000_bench::json::Json::as_u64)
                 .unwrap_or(0)
         };
-        let retried = sidecar
-            .get("retried_cells")
-            .and_then(t1000_bench::json::Json::as_array)
-            .map_or(0, <[t1000_bench::json::Json]>::len);
+        let len = |k: &str| {
+            sidecar
+                .get(k)
+                .and_then(t1000_bench::json::Json::as_array)
+                .map_or(0, <[t1000_bench::json::Json]>::len)
+        };
         writeln!(
             out,
-            "Sharded: {} worker process(es), {} crash(es), {retried} cell(s) retried.",
-            u("shards"),
+            "Remote: {} endpoint(s), {} failed dispatch(es), {} cell(s) retried, {} degradation event(s).",
+            u("remotes"),
             u("worker_crashes"),
+            len("retried_cells"),
+            len("degradations"),
         )
         .unwrap();
-        if u("remotes") > 0 {
-            let degradations = sidecar
-                .get("degradations")
-                .and_then(t1000_bench::json::Json::as_array)
-                .map_or(0, <[t1000_bench::json::Json]>::len);
-            writeln!(
-                out,
-                "Remote: {} endpoint(s), {degradations} degradation event(s).",
-                u("remotes"),
-            )
-            .unwrap();
-        }
     }
     if let Some(path) = json {
         writeln!(
@@ -947,7 +893,7 @@ fn bench_validate(path: &str, expect: Option<&str>) -> Result<String, CliError> 
     );
     if let Some(spec) = expect {
         // Topology keys (`shards=N`) assert on the coordinator's sidecar,
-        // written next to the artifact by `bench --all --shards N`.
+        // written next to the artifact by `bench --all --remote ...`.
         let sidecar = std::fs::read_to_string(format!("{path}.shards.json")).ok();
         let satisfied =
             t1000_bench::results::check_expectations_with(&text, sidecar.as_deref(), spec)
@@ -1021,12 +967,11 @@ usage:\n\
 \x20 t1000 select  <file|bench:name> [--strategy greedy|selective|knapsack] [--pfus N]\n\
 \x20               [--greedy] [--threshold F] [--lut-budget N] [--reload-weight W] [--explain] [--scale test|full]\n\
 \x20 t1000 bench   <name> [--scale test|full] [--pfus N] [--pfu-planes 1|2] [--pfu-prefetch N] [--conf-compress R]\n\
-\x20 t1000 bench   --all [--scale test|full] [--json FILE] [--resume] [--shards N]\n\
+\x20 t1000 bench   --all [--scale test|full] [--json FILE] [--resume]\n\
 \x20               [--remote HOST:PORT,...] [--retries N] [--backoff-ms M]\n\
 \x20               [--pfu-planes 1|2] [--pfu-prefetch N] [--conf-compress R]\n\
 \x20               [--deterministic] [--inject PLAN] [--max-cycles N] [--strategies] [--no-fast-path]\n\
 \x20 t1000 bench   --validate <BENCH_results.json> [--expect KEY=VALUE,...]\n\
-\x20 t1000 worker  (internal: shard worker spawned by `bench --shards`; JSON-RPC on stdio)\n\
 \x20 t1000 serve   [--socket PATH] [--tcp HOST:PORT] [--workers N] [--queue N]  (JSON-RPC daemon; docs/SERVING.md)\n";
         assert_eq!(run(&s(&["--help"])).unwrap(), golden);
         assert_eq!(run(&s(&["help"])).unwrap(), golden);
@@ -1268,27 +1213,23 @@ usage:\n\
     }
 
     #[test]
-    fn bench_shards_requires_all_and_a_positive_count() {
-        let e = run(&s(&["bench", "g721_enc", "--shards", "2"])).unwrap_err();
-        assert!(e.0.contains("--shards requires --all"), "{e}");
-        let e = run(&s(&["bench", "--all", "--shards", "0"])).unwrap_err();
-        assert!(e.0.contains("at least 1"), "{e}");
-        let e = run(&s(&["bench", "--all", "--shards", "many"])).unwrap_err();
-        assert!(e.0.contains("--shards"), "{e}");
-        // `worker` is stdin-driven and takes no arguments.
-        let e = run(&s(&["worker", "extra"])).unwrap_err();
-        assert!(e.0.contains("worker"), "{e}");
+    fn worker_command_and_shards_option_are_gone() {
+        // Multi-process execution is `--remote` only: the local child
+        // worker and its shard count no longer exist.
+        let e = run(&s(&["worker"])).unwrap_err();
+        assert!(e.0.contains("unknown command `worker`"), "{e}");
+        let e = run(&s(&["bench", "--all", "--shards", "2"])).unwrap_err();
+        assert!(e.0.contains("unknown option --shards"), "{e}");
+        assert!(!usage().contains("t1000 worker") && !usage().contains("--shards"));
     }
 
     #[test]
     fn bench_remote_and_retry_flags_are_guarded() {
-        // --remote rides the shard coordinator, so it needs --all --shards.
+        // --remote rides the shard coordinator, which only --all drives.
         let e = run(&s(&["bench", "g721_enc", "--remote", "h:1"])).unwrap_err();
         assert!(e.0.contains("--remote requires --all"), "{e}");
-        let e = run(&s(&["bench", "--all", "--remote", "h:1"])).unwrap_err();
-        assert!(e.0.contains("--remote requires --shards"), "{e}");
         // An endpoint list of only separators/whitespace is empty.
-        let e = run(&s(&["bench", "--all", "--shards", "2", "--remote", " , "])).unwrap_err();
+        let e = run(&s(&["bench", "--all", "--remote", " , "])).unwrap_err();
         assert!(e.0.contains("at least one HOST:PORT"), "{e}");
         // Retry knobs configure the engine, which only --all drives.
         let e = run(&s(&["bench", "g721_enc", "--retries", "5"])).unwrap_err();

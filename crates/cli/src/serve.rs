@@ -26,8 +26,8 @@
 //!   connection reader and are never queued or shed (`ping` answers even
 //!   while draining — it is the remote coordinator's health probe);
 //! * `run_shard` — the remote-shard method behind
-//!   `t1000 bench --shards N --remote` — executes inline on its
-//!   connection's reader thread, streaming the worker wire protocol
+//!   `t1000 bench --all --remote` — executes inline on its
+//!   connection's reader thread, streaming the shard wire protocol
 //!   ([`t1000_bench::shard::execute_shard`]) back over the same
 //!   connection: `selection`/`cell`/`cell_failed` event lines, then the
 //!   final id-echoing result envelope. A dedicated connection per
@@ -600,7 +600,7 @@ impl Server {
         }
     }
 
-    /// Executes a `run_shard` job, streaming the worker wire protocol
+    /// Executes a `run_shard` job, streaming the shard wire protocol
     /// through `emit`. On success the final result envelope has already
     /// been emitted and `None` is returned; on failure the error envelope
     /// to send is returned instead.

@@ -1,11 +1,11 @@
-//! End-to-end tests for `t1000 bench --all --shards N`: a real
-//! coordinator spawning real `t1000 worker` processes, checked against
-//! the in-process engine for byte-identity of the merged artifact —
-//! including under worker crashes (`--inject abort@N`) and
-//! resume-under-sharding (`--resume` after an interrupted run).
+//! End-to-end test for sharded `t1000 bench --all`: sharding runs one
+//! shard per `--remote` endpoint, so a coordinator splitting the cell
+//! matrix over 1 and 3 real `t1000 serve --tcp` daemons must merge an
+//! artifact byte-identical to the single-process one. Fault, resume and
+//! knob coverage for the same path lives in `remote_shard.rs`.
 
-use std::process::Command;
-use std::sync::OnceLock;
+use std::io::{BufRead, BufReader};
+use std::process::{Child, Command, Stdio};
 use t1000_bench::engine::{execute_with, EngineConfig};
 use t1000_bench::json::Json;
 use t1000_bench::plan::run_all_plan;
@@ -24,48 +24,60 @@ fn tmp(name: &str) -> String {
 }
 
 /// The canonical single-process artifact text (`--deterministic`, test
-/// scale), computed once in-process for every test in this binary.
-fn reference() -> &'static str {
-    static REF: OnceLock<String> = OnceLock::new();
-    REF.get_or_init(|| {
-        let config = EngineConfig {
-            deterministic: true,
-            ..EngineConfig::default()
+/// scale), computed in-process.
+fn reference() -> String {
+    let config = EngineConfig {
+        deterministic: true,
+        ..EngineConfig::default()
+    };
+    let run = execute_with(&run_all_plan(), Scale::Test, &config);
+    assert!(run.failures.is_empty(), "reference run must be healthy");
+    to_json(&run).to_string_pretty()
+}
+
+/// A `t1000 serve --tcp 127.0.0.1:0` daemon on an OS-assigned loopback
+/// port, parsed from the startup banner. Killed (and reaped) on drop.
+struct Endpoint {
+    child: Child,
+    addr: String,
+}
+
+impl Endpoint {
+    fn spawn() -> Endpoint {
+        let mut child = Command::new(bin())
+            .args(["serve", "--tcp", "127.0.0.1:0", "--workers", "1"])
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn serve endpoint");
+        let mut stderr = BufReader::new(child.stderr.take().unwrap());
+        let addr = loop {
+            let mut line = String::new();
+            if stderr.read_line(&mut line).expect("banner") == 0 {
+                let _ = child.kill();
+                let _ = child.wait();
+                panic!("endpoint exited before announcing its TCP address");
+            }
+            if let Some(rest) = line.split("listening on tcp://").nth(1) {
+                break rest.split_whitespace().next().expect("addr").to_string();
+            }
         };
-        let run = execute_with(&run_all_plan(), Scale::Test, &config);
-        assert!(run.failures.is_empty(), "reference run must be healthy");
-        to_json(&run).to_string_pretty()
-    })
+        // Keep draining stderr so the daemon never blocks on a full pipe.
+        std::thread::spawn(move || {
+            let mut sink = String::new();
+            while stderr.read_line(&mut sink).map(|n| n > 0).unwrap_or(false) {
+                sink.clear();
+            }
+        });
+        Endpoint { child, addr }
+    }
 }
 
-/// Runs `t1000 bench --all --scale test --deterministic --json <path>`
-/// with `extra` appended; returns (success, stdout+stderr).
-fn bench_all(path: &str, extra: &[&str]) -> (bool, String) {
-    let mut args = vec![
-        "bench",
-        "--all",
-        "--scale",
-        "test",
-        "--deterministic",
-        "--json",
-        path,
-    ];
-    args.extend_from_slice(extra);
-    let out = Command::new(bin()).args(&args).output().expect("run bench");
-    let text = format!(
-        "{}{}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
-    (out.status.success(), text)
-}
-
-fn read(path: &str) -> String {
-    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"))
-}
-
-fn sidecar(path: &str) -> Json {
-    Json::parse(&read(&format!("{path}.shards.json"))).expect("sidecar parses")
+impl Drop for Endpoint {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
 }
 
 fn cleanup(path: &str) {
@@ -80,118 +92,56 @@ fn cleanup(path: &str) {
 
 #[test]
 fn sharded_artifacts_are_byte_identical_to_single_process() {
-    for shards in ["1", "3"] {
+    let reference = reference();
+    for shards in [1usize, 3] {
+        let endpoints: Vec<Endpoint> = (0..shards).map(|_| Endpoint::spawn()).collect();
+        let remote = endpoints
+            .iter()
+            .map(|e| e.addr.as_str())
+            .collect::<Vec<_>>()
+            .join(",");
         let path = tmp(&format!("identity_{shards}.json"));
-        let (ok, log) = bench_all(&path, &["--shards", shards]);
-        assert!(ok, "--shards {shards} failed:\n{log}");
-        assert!(log.contains("Sharded:"), "{log}");
+        let out = Command::new(bin())
+            .args([
+                "bench",
+                "--all",
+                "--scale",
+                "test",
+                "--deterministic",
+                "--json",
+                &path,
+                "--remote",
+                &remote,
+            ])
+            .output()
+            .expect("run bench");
+        let log = format!(
+            "{}{}",
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(out.status.success(), "{shards} shard(s) failed:\n{log}");
+        assert!(
+            log.contains(&format!("Remote: {shards} endpoint(s)")),
+            "{log}"
+        );
+        let artifact =
+            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
         assert_eq!(
-            read(&path),
-            reference(),
-            "--shards {shards} artifact diverges from the single-process one"
+            artifact, reference,
+            "{shards}-shard artifact diverges from the single-process one"
         );
 
-        let sc = sidecar(&path);
+        let sc = Json::parse(
+            &std::fs::read_to_string(format!("{path}.shards.json")).expect("sidecar written"),
+        )
+        .expect("sidecar parses");
         assert_eq!(
             sc.get("kind").and_then(Json::as_str),
             Some("t1000.bench-shards")
         );
-        assert_eq!(
-            sc.get("shards").and_then(Json::as_u64),
-            Some(shards.parse().unwrap())
-        );
+        assert_eq!(sc.get("shards").and_then(Json::as_u64), Some(shards as u64));
         assert_eq!(sc.get("worker_crashes").and_then(Json::as_u64), Some(0));
         cleanup(&path);
     }
-}
-
-#[test]
-fn expect_asserts_shard_topology_via_the_sidecar() {
-    let path = tmp("expect.json");
-    let (ok, log) = bench_all(&path, &["--shards", "2"]);
-    assert!(ok, "{log}");
-
-    let out = Command::new(bin())
-        .args([
-            "bench",
-            "--validate",
-            &path,
-            "--expect",
-            "shards=2,total_sim_khz=0,failed_cells=0,scale=test",
-        ])
-        .output()
-        .expect("validate");
-    let text = String::from_utf8_lossy(&out.stdout).into_owned();
-    assert!(out.status.success(), "{text}");
-    assert!(text.contains("expectations: 4 satisfied"), "{text}");
-
-    // A wrong shard count is a typed expectation failure.
-    let out = Command::new(bin())
-        .args(["bench", "--validate", &path, "--expect", "shards=4"])
-        .output()
-        .expect("validate");
-    assert!(!out.status.success());
-    let text = String::from_utf8_lossy(&out.stderr).into_owned();
-    assert!(text.contains("sidecar records 2"), "{text}");
-
-    // Without the sidecar, `shards=` cannot be asserted at all.
-    std::fs::remove_file(format!("{path}.shards.json")).unwrap();
-    let out = Command::new(bin())
-        .args(["bench", "--validate", &path, "--expect", "shards=2"])
-        .output()
-        .expect("validate");
-    assert!(!out.status.success());
-    cleanup(&path);
-}
-
-/// A worker killed mid-shard by an injected `abort` is detected by the
-/// coordinator, its unfinished cells are retried on a replacement worker,
-/// and the healed artifact is byte-identical to an uninterrupted run —
-/// the crash shows up only in the sidecar.
-#[test]
-fn worker_crash_is_retried_and_heals_to_the_identical_artifact() {
-    let path = tmp("healed.json");
-    let (ok, log) = bench_all(&path, &["--shards", "2", "--inject", "abort@3"]);
-    assert!(ok, "healed run must succeed:\n{log}");
-    assert!(log.contains("retrying on a fresh worker"), "{log}");
-    assert_eq!(read(&path), reference(), "healed artifact diverges");
-
-    let sc = sidecar(&path);
-    assert!(sc.get("worker_crashes").and_then(Json::as_u64).unwrap() >= 1);
-    assert!(
-        !sc.get("retried_cells")
-            .and_then(Json::as_array)
-            .unwrap()
-            .is_empty(),
-        "sidecar must list the retried cells"
-    );
-    cleanup(&path);
-}
-
-/// Resume under sharding: an interrupted run's checkpoint feeds the
-/// coordinator, which only assigns the missing cells to workers — and
-/// still reproduces the uninterrupted artifact byte-for-byte.
-#[test]
-fn resume_skips_checkpointed_cells_and_reproduces_the_artifact() {
-    let path = tmp("resume.json");
-    // Interrupted run: cell 2 panics on every attempt, so the command
-    // exits nonzero but leaves every other cell in the checkpoint.
-    let (ok, log) = bench_all(&path, &["--inject", "panic@2x3"]);
-    assert!(!ok, "injected run should report the failure:\n{log}");
-    assert!(
-        std::path::Path::new(&format!("{path}.partial")).exists(),
-        "interrupted run must leave its checkpoint"
-    );
-
-    // Sharded resume: restored cells are never assigned to a worker.
-    let (ok, log) = bench_all(&path, &["--shards", "2", "--resume"]);
-    assert!(ok, "resumed run failed:\n{log}");
-    assert_eq!(read(&path), reference(), "resumed artifact diverges");
-
-    let restored = sidecar(&path)
-        .get("cells_restored")
-        .and_then(Json::as_u64)
-        .unwrap();
-    assert!(restored > 0, "resume restored nothing");
-    cleanup(&path);
 }

@@ -128,7 +128,7 @@ impl SelectionCache {
 /// Deliberately *not* `std::hash::Hasher` — `DefaultHasher` is free to
 /// change between Rust releases and between processes, while every key
 /// derived from this function (program identities, shard wire
-/// checksums) must agree across independently started worker processes
+/// checksums) must agree across independently started processes
 /// and across builds. The constants are the standard FNV-1a offset
 /// basis and prime.
 ///
