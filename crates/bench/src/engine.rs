@@ -686,18 +686,6 @@ impl EngineRun {
             .get(&(cell.workload, cell.extract, cell.selection))
             .map(|&i| &self.selections[i])
     }
-
-    /// Aborts with the failure table unless every cell completed. The
-    /// contract of the single-purpose figure binaries, which have no
-    /// partial-output mode; `run_all` and the CLI report failures
-    /// gracefully instead.
-    pub fn expect_healthy(&self, what: &str) -> &EngineRun {
-        if !self.failures.is_empty() {
-            eprint!("{}", crate::results::render_failures(&self.failures));
-            panic!("{what}: {} cell(s) failed", self.failures.len());
-        }
-        self
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1369,16 +1357,6 @@ pub fn workload_infos(scale: Scale, cells: &[Cell]) -> Vec<WorkloadInfo> {
         }
     }
     infos
-}
-
-/// Convenience: execute the full `run_all` plan on the clean path.
-pub fn execute_run_all(scale: Scale) -> EngineRun {
-    execute(&crate::plan::run_all_plan(), scale)
-}
-
-/// [`execute_run_all`] with explicit robustness configuration.
-pub fn execute_run_all_with(scale: Scale, config: &EngineConfig) -> EngineRun {
-    execute_with(&crate::plan::run_all_plan(), scale, config)
 }
 
 #[cfg(test)]

@@ -1,48 +1,45 @@
 //! # t1000-bench — experiment harness
 //!
-//! Regenerates every figure and table of the paper's evaluation. Each
-//! binary prints one artefact:
+//! Regenerates every figure and table of the paper's evaluation through
+//! one execution path: a named plan from the registry
+//! ([`plan::PLANS`]) run by the engine ([`engine::execute_with`]) and
+//! rendered by the plan's own report. `t1000 bench --all --plan NAME`
+//! is the driver:
 //!
-//! | binary | paper artefact |
+//! | plan | paper artefact |
 //! |---|---|
-//! | `fig2` | Fig. 2 — greedy speedups (unlimited PFUs; 2 PFUs thrash) |
-//! | `table_greedy_stats` | §4.1 — greedy instruction counts and lengths |
-//! | `fig6` | Fig. 6 — selective speedups with 2/4/unlimited PFUs |
-//! | `fig7` | Fig. 7 — LUT-count histogram of selected instructions |
+//! | `run_all` | Fig. 2, §4.1, Fig. 6, Fig. 7 and §5.2 — the body of EXPERIMENTS.md |
+//! | `run_all_strategies` | `run_all` plus knapsack selection at two LUT budgets |
 //! | `reconfig_sweep` | §5.2 — robustness up to 500-cycle reconfiguration |
 //! | `bitwidth_sweep` | ablation: candidate bitwidth threshold |
 //! | `ports_sweep` | ablation: PFU input-port budget |
-//! | `run_all` | everything above, for EXPERIMENTS.md |
+//! | `branch_sweep` | ablation: branch predictor ladder |
+//! | `pfu_policy_sweep` | ablation: PFU replacement policy |
+//! | `width_sweep` | ablation: machine issue width |
+//! | `reload_sweep` | reload cost × prefetch depth × PFU count pareto |
 //!
 //! Run with `--release`; full-scale runs simulate millions of cycles.
 
 // Robustness gate: library code must surface failures as typed errors,
-// not unwrap/expect panics. Tests (and the legacy panicking helpers
-// explicitly allow-listed below) are exempt.
+// not unwrap/expect panics. Tests are exempt; the reference helpers
+// below (`prepare`, `run_verified`) assert by design — the integration
+// tests use them as the path the engine is checked against.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod checkpoint;
 pub mod engine;
 pub mod fault;
 pub mod json;
+pub mod lines;
 pub mod plan;
 pub mod results;
 pub mod runstats;
 pub mod shard;
+pub mod sweep;
 
-use std::time::Instant;
 use t1000_core::{Error, Selection, Session};
 use t1000_cpu::{CpuConfig, RunResult};
-use t1000_workloads::{Scale, Workload};
-
-/// Scale selection from the environment: `T1000_SCALE=test` switches the
-/// harness to small inputs (used by integration tests and CI smoke runs).
-pub fn scale_from_env() -> Scale {
-    match std::env::var("T1000_SCALE").as_deref() {
-        Ok("test") => Scale::Test,
-        _ => Scale::Full,
-    }
-}
+use t1000_workloads::Workload;
 
 /// One benchmark's sessions and baseline run, shared across experiments.
 pub struct Prepared {
@@ -70,22 +67,6 @@ pub fn prepare(w: &Workload) -> Result<Prepared, Error> {
     })
 }
 
-/// Prepares every benchmark at `scale`, in parallel (one thread each).
-// Legacy convenience for the figure binaries: workers deliberately panic
-// on broken workloads (they have no error channel), so join() only fails
-// after a panic that is itself the intended abort.
-#[allow(clippy::unwrap_used)]
-pub fn prepare_all(scale: Scale) -> Vec<Prepared> {
-    let workloads = t1000_workloads::all(scale);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = workloads
-            .iter()
-            .map(|w| s.spawn(move || prepare(w).unwrap_or_else(|e| panic!("{}: {e}", w.name))))
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    })
-}
-
 /// Runs one selection on one machine configuration and verifies
 /// architectural results against the baseline.
 pub fn run_verified(p: &Prepared, sel: &Selection, cpu: CpuConfig) -> RunResult {
@@ -105,46 +86,4 @@ pub fn run_verified(p: &Prepared, sel: &Selection, cpu: CpuConfig) -> RunResult 
 /// >1 = faster), the y-axis of Figs. 2 and 6.
 pub fn speedup(p: &Prepared, run: &RunResult) -> f64 {
     p.baseline.timing.cycles as f64 / run.timing.cycles as f64
-}
-
-/// Formats a speedup table row.
-pub fn fmt_row(name: &str, cells: &[f64]) -> String {
-    let mut s = format!("{name:>10}");
-    for c in cells {
-        s.push_str(&format!("  {c:>8.3}"));
-    }
-    s
-}
-
-/// [`fmt_row`] over possibly-missing cells: a failed measurement renders
-/// as `n/a` instead of aborting the whole table.
-pub fn fmt_row_opt(name: &str, cells: &[Option<f64>]) -> String {
-    let mut s = format!("{name:>10}");
-    for c in cells {
-        match c {
-            Some(v) => s.push_str(&format!("  {v:>8.3}")),
-            None => s.push_str(&format!("  {:>8}", "n/a")),
-        }
-    }
-    s
-}
-
-/// Simple wall-clock section timer for harness progress output.
-pub struct Timer(Instant, String);
-
-impl Timer {
-    pub fn start(label: &str) -> Timer {
-        eprintln!("[t1000-bench] {label}...");
-        Timer(Instant::now(), label.to_string())
-    }
-}
-
-impl Drop for Timer {
-    fn drop(&mut self) {
-        eprintln!(
-            "[t1000-bench] {} done in {:.1}s",
-            self.1,
-            self.0.elapsed().as_secs_f64()
-        );
-    }
 }

@@ -8,7 +8,14 @@
 //! per distinct selection, one simulation per distinct cell, plus the
 //! baseline cell each speedup is normalised against — and never runs the
 //! same job twice, no matter how many figures request it.
+//!
+//! [`PLANS`] names every figure and sweep: a plan builder plus the report
+//! rendered from its run. It is the only place a plan name is resolved,
+//! so `t1000 bench --all --plan NAME`, the serve `run_shard` method and
+//! the remote coordinator all run the same cells.
 
+use crate::results::{self, RunView};
+use crate::sweep;
 use std::collections::HashSet;
 use t1000_core::{ExtractConfig, SelectConfig, StrategySpec};
 use t1000_cpu::{BranchModel, CpuConfig, PfuCount, PfuReplacement};
@@ -48,19 +55,6 @@ impl SelectionSpec {
             pfus,
             gain_threshold_bits: gain_threshold.to_bits(),
             reload_weight_bits: 0,
-        }
-    }
-
-    /// Selective spec with the §5.3 reload-traffic charge.
-    pub fn selective_reload(
-        pfus: Option<usize>,
-        gain_threshold: f64,
-        reload_weight: f64,
-    ) -> SelectionSpec {
-        SelectionSpec::Selective {
-            pfus,
-            gain_threshold_bits: gain_threshold.to_bits(),
-            reload_weight_bits: reload_weight.to_bits(),
         }
     }
 
@@ -234,6 +228,14 @@ impl MachineSpec {
     }
 }
 
+/// The config-plane machine knobs `(pfu_planes, pfu_prefetch,
+/// conf_compress)` a plan is built with (`--pfu-planes`,
+/// `--pfu-prefetch`, `--conf-compress`).
+pub type PlaneKnobs = (u32, u32, f64);
+
+/// The knobs that leave a plan's machines untouched.
+pub const DEFAULT_PLANE: PlaneKnobs = (1, 0, 0.0);
+
 /// One unit of experimental work: simulate `workload` under `selection`
 /// on `machine`, with candidates extracted per `extract`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -255,6 +257,22 @@ impl Cell {
         }
     }
 
+    /// This cell as a plan built with `knobs` holds it — the one place
+    /// that knows the config-plane rewrite, shared by
+    /// [`Plan::with_config_plane`] and every report's lookups. Default
+    /// knobs and PFU-less (baseline) machines are left alone; every other
+    /// machine takes the knobs.
+    pub fn knobbed(self, knobs: PlaneKnobs) -> Cell {
+        if knobs == DEFAULT_PLANE || self.machine.pfus == PfuCount::Fixed(0) {
+            return self;
+        }
+        let (planes, prefetch, compress) = knobs;
+        Cell {
+            machine: self.machine.config_plane(planes, prefetch, compress),
+            ..self
+        }
+    }
+
     /// The baseline cell this cell's speedup is measured against.
     pub fn baseline_cell(&self) -> Cell {
         Cell {
@@ -271,8 +289,8 @@ impl Cell {
 pub struct Plan {
     cells: Vec<Cell>,
     seen: HashSet<Cell>,
-    /// Selection jobs requested without a fused simulation (Fig. 7 and
-    /// the §4.1 table analyse selections but never run them).
+    /// Selection jobs requested without a fused simulation (a resumed
+    /// shard whose cells were all restored still owes its selections).
     selection_only: Vec<(&'static str, ExtractConfig, SelectionSpec)>,
     /// Cells requested, counting duplicates — the dedup numerator.
     requested: usize,
@@ -348,26 +366,29 @@ impl Plan {
         self.deduped
     }
 
-    /// This plan with every PFU-bearing machine rewritten to carry the
-    /// reconfiguration-hiding knobs (`t1000 bench --pfu-planes` /
-    /// `--pfu-prefetch` / `--conf-compress`). Baseline (0-PFU) machines
-    /// are left untouched — each rewritten cell re-implies the same
-    /// normaliser, so speedups stay comparable to the default artifact.
-    pub fn with_config_plane(&self, planes: u32, prefetch: u32, conf_compress: f64) -> Plan {
+    /// This plan as built with the config-plane `knobs` (`t1000 bench
+    /// --pfu-planes` / `--pfu-prefetch` / `--conf-compress`): every cell
+    /// rewritten by [`Cell::knobbed`]. Default knobs return the plan
+    /// untouched, so the default artifact stays byte-identical; otherwise
+    /// each rewritten cell re-implies the same 0-PFU normaliser, so
+    /// speedups stay comparable to the default artifact.
+    pub fn with_config_plane(self, knobs: PlaneKnobs) -> Plan {
+        if knobs == DEFAULT_PLANE {
+            return self;
+        }
         let mut out = Plan::new();
         for c in &self.cells {
-            if c.selection == SelectionSpec::Baseline {
-                continue; // re-implied by the cells that use it
+            if c.selection != SelectionSpec::Baseline {
+                out.push(c.knobbed(knobs)); // baselines are re-implied
             }
-            let mut cell = *c;
-            if cell.machine.pfus != PfuCount::Fixed(0) {
-                cell.machine = cell.machine.config_plane(planes, prefetch, conf_compress);
-            }
-            out.push(cell);
         }
         for (w, x, s) in &self.selection_only {
             out.push_selection(w, *x, *s);
         }
+        // The rebuild pushed each distinct cell once; keep the original
+        // duplicate requests in the engine's request/dedup counts.
+        out.requested += self.deduped;
+        out.deduped += self.deduped;
         out
     }
 }
@@ -427,12 +448,12 @@ pub fn run_all_plan() -> Plan {
 /// the knapsack to arbitrate, one roomy enough to approach greedy.
 pub const KNAPSACK_BUDGETS: [u32; 2] = [256, 1024];
 
-/// The strategy-axis extension of [`run_all_plan`]: knapsack cells at
-/// each budget of [`KNAPSACK_BUDGETS`] on the 4-PFU machine. Kept out of
-/// [`run_all_plan`] so the default full-scale artifact stays comparable
-/// with earlier runs (the golden-equivalence guarantee); `t1000 bench
-/// --all --strategies` appends these cells.
-pub fn strategy_sweep_plan(plan: &mut Plan) {
+/// [`run_all_plan`] plus the strategy axis: knapsack cells at each
+/// budget of [`KNAPSACK_BUDGETS`] on the 4-PFU machine, appended so the
+/// `run_all` cells keep their order and the default artifact stays
+/// comparable with earlier runs (the golden-equivalence guarantee).
+pub fn run_all_plan_with_strategies() -> Plan {
+    let mut plan = run_all_plan();
     for w in workload_names() {
         for budget in KNAPSACK_BUDGETS {
             plan.push(Cell::new(
@@ -442,13 +463,95 @@ pub fn strategy_sweep_plan(plan: &mut Plan) {
             ));
         }
     }
+    plan
 }
 
-/// [`run_all_plan`] plus the strategy sweep.
-pub fn run_all_plan_with_strategies() -> Plan {
-    let mut plan = run_all_plan();
-    strategy_sweep_plan(&mut plan);
-    plan
+/// One named plan: the cells a figure or sweep needs and the report it
+/// renders from them. `render` returns `Err` when the run breaks the
+/// plan's own gate (`reload_sweep`: prefetch must hide reload traffic).
+pub struct PlanEntry {
+    pub name: &'static str,
+    pub about: &'static str,
+    pub build: fn() -> Plan,
+    pub render: fn(&RunView) -> Result<String, String>,
+}
+
+/// The plan registry: the only place that maps a plan name to its cells
+/// and its report. `t1000 bench --all --plan NAME`, the serve
+/// `run_shard` method and the remote coordinator all resolve names here,
+/// so every plan gets `--json`, `--resume`, `--remote` and fault
+/// injection from the one execution path.
+pub const PLANS: &[PlanEntry] = &[
+    PlanEntry {
+        name: "run_all",
+        about: "every paper figure and table: Fig. 2, §4.1, Fig. 6, Fig. 7, §5.2",
+        build: run_all_plan,
+        render: |v| Ok(results::render_markdown(v)),
+    },
+    PlanEntry {
+        name: "run_all_strategies",
+        about: "run_all plus knapsack cells at each LUT budget",
+        build: run_all_plan_with_strategies,
+        render: |v| Ok(results::render_markdown(v)),
+    },
+    PlanEntry {
+        name: "reconfig_sweep",
+        about: "§5.2: reconfiguration penalty 0-500 cycles, selective vs greedy, 2 PFUs",
+        build: || sweep::reconfig().plan(),
+        render: |v| Ok(sweep::reconfig().render(v)),
+    },
+    PlanEntry {
+        name: "bitwidth_sweep",
+        about: "ablation: candidate bitwidth threshold, selective, 4 PFUs",
+        build: || sweep::bitwidth().plan(),
+        render: |v| Ok(sweep::bitwidth().render(v)),
+    },
+    PlanEntry {
+        name: "ports_sweep",
+        about: "ablation: PFU input-port budget, selective, 4 PFUs",
+        build: || sweep::ports().plan(),
+        render: |v| Ok(sweep::ports().render(v)),
+    },
+    PlanEntry {
+        name: "branch_sweep",
+        about: "ablation: branch predictor ladder, selective, 2 PFUs",
+        build: || sweep::branch().plan(),
+        render: |v| Ok(sweep::branch().render(v)),
+    },
+    PlanEntry {
+        name: "pfu_policy_sweep",
+        about: "ablation: PFU replacement policy, greedy, 2 PFUs",
+        build: || sweep::pfu_policy().plan(),
+        render: |v| Ok(sweep::pfu_policy().render(v)),
+    },
+    PlanEntry {
+        name: "width_sweep",
+        about: "ablation: issue width 1-8, selective, 2 PFUs",
+        build: || sweep::width().plan(),
+        render: |v| Ok(sweep::width().render(v)),
+    },
+    PlanEntry {
+        name: "reload_sweep",
+        about: "reload cost x prefetch depth x PFU count pareto; fails if no reload is hidden",
+        build: sweep::reload_plan,
+        render: sweep::render_reload,
+    },
+];
+
+/// The registry entry called `name`; the error lists the valid names.
+pub fn entry(name: &str) -> Result<&'static PlanEntry, String> {
+    PLANS.iter().find(|e| e.name == name).ok_or_else(|| {
+        let names: Vec<&str> = PLANS.iter().map(|e| e.name).collect();
+        format!("unknown plan {name:?} (one of {})", names.join(", "))
+    })
+}
+
+/// The plan called `name`, built with the config-plane `knobs`. Sharded
+/// execution ships the name and the knobs, not the cells: coordinator
+/// and endpoint both derive the identical cell list (and selection-key
+/// list) from this one pure function.
+pub fn by_name(name: &str, knobs: PlaneKnobs) -> Result<Plan, String> {
+    Ok((entry(name)?.build)().with_config_plane(knobs))
 }
 
 #[cfg(test)]
@@ -522,6 +625,63 @@ mod tests {
             assert!(matches!(c.selection, SelectionSpec::Knapsack { .. }));
             assert_eq!(c.machine, MachineSpec::with_pfus(4, 10));
         }
+    }
+
+    #[test]
+    fn every_registry_plan_is_a_nonempty_cell_only_plan() {
+        let mut names = HashSet::new();
+        for e in PLANS {
+            assert!(names.insert(e.name), "{} registered twice", e.name);
+            assert!(!e.about.is_empty());
+            let plan = (e.build)();
+            // `--remote` ships cell indices only, so no registry plan may
+            // carry selection-only jobs.
+            assert!(plan.selection_only().is_empty(), "{}", e.name);
+            assert!(
+                plan.cells()
+                    .iter()
+                    .any(|c| c.selection != SelectionSpec::Baseline),
+                "{} has no experiment cells",
+                e.name
+            );
+            assert_eq!(
+                by_name(e.name, DEFAULT_PLANE).unwrap().cells(),
+                plan.cells()
+            );
+        }
+        assert_eq!(
+            by_name("run_all", DEFAULT_PLANE).unwrap().cells(),
+            run_all_plan().cells()
+        );
+        let err = by_name("nope", DEFAULT_PLANE).err().unwrap();
+        assert!(err.contains("unknown plan \"nope\""), "{err}");
+        assert!(names.iter().all(|n| err.contains(n)), "{err}");
+    }
+
+    #[test]
+    fn knobs_rewrite_pfu_machines_only_and_default_knobs_nothing() {
+        let c = Cell::new("epic", SelectionSpec::Greedy, MachineSpec::with_pfus(2, 10));
+        assert_eq!(c.knobbed(DEFAULT_PLANE), c);
+        let k = c.knobbed((2, 3, 0.5));
+        assert_eq!(k.machine, c.machine.config_plane(2, 3, 0.5));
+        let b = c.baseline_cell();
+        assert_eq!(b.knobbed((2, 3, 0.5)), b);
+        // The plan rewrite and the lookup rewrite agree cell for cell.
+        let plan = run_all_plan();
+        let knobbed = plan.clone().with_config_plane((2, 3, 0.5));
+        let expected: HashSet<Cell> = plan
+            .cells()
+            .iter()
+            .map(|c| c.knobbed((2, 3, 0.5)))
+            .collect();
+        assert_eq!(
+            knobbed.cells().iter().copied().collect::<HashSet<_>>(),
+            expected
+        );
+        assert_eq!(
+            (knobbed.requested(), knobbed.deduped()),
+            (plan.requested(), plan.deduped())
+        );
     }
 
     #[test]

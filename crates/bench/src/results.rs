@@ -9,7 +9,7 @@
 use crate::engine::{CellResult, EngineError, EngineRun, RetryPolicy, SelectionRecord};
 use crate::fault::FaultPlan;
 use crate::json::Json;
-use crate::plan::{Cell, MachineSpec, SelectionSpec};
+use crate::plan::{Cell, MachineSpec, PlaneKnobs, SelectionSpec};
 use t1000_core::ExtractConfig;
 use t1000_cpu::{BranchModel, PfuCount, PfuReplacement};
 use t1000_workloads::Scale;
@@ -390,13 +390,8 @@ fn failure_json(e: &EngineError) -> Json {
     ])
 }
 
-/// Writes `BENCH_results.json` to `path`.
-pub fn write_json(run: &EngineRun, path: &std::path::Path) -> std::io::Result<()> {
-    std::fs::write(path, to_json(run).to_string_pretty())
-}
-
-/// [`write_json`] under the retry policy, honouring injected artifact-I/O
-/// faults: each failed attempt is reported and retried on the fixed
+/// Writes `BENCH_results.json` to `path` under the retry policy,
+/// honouring injected artifact-I/O faults: each failed attempt is reported and retried on the fixed
 /// backoff schedule; the last error propagates if every attempt fails.
 pub fn write_json_with_retry(
     run: &EngineRun,
@@ -849,9 +844,28 @@ fn baseline_cell(workload: &'static str) -> Cell {
     )
 }
 
+/// A finished run read through the config-plane knobs its plan was built
+/// with. Reports name cells by their default machines; the view finds
+/// the cells the plan actually ran ([`Cell::knobbed`]), so a knobbed
+/// report shows the knobbed numbers.
+pub struct RunView<'a> {
+    pub run: &'a EngineRun,
+    pub knobs: PlaneKnobs,
+}
+
+impl<'a> RunView<'a> {
+    pub fn cell(&self, cell: Cell) -> Option<&'a CellResult> {
+        self.run.cell(cell.knobbed(self.knobs))
+    }
+
+    pub fn speedup(&self, cell: Cell) -> Option<f64> {
+        self.run.speedup(cell.knobbed(self.knobs))
+    }
+}
+
 /// Formats a possibly-missing speedup: failed measurements render as
 /// `n/a` instead of aborting the report.
-fn fmt3(v: Option<f64>) -> String {
+pub(crate) fn fmt3(v: Option<f64>) -> String {
     match v {
         Some(v) => format!("{v:.3}"),
         None => "n/a".to_string(),
@@ -861,8 +875,9 @@ fn fmt3(v: Option<f64>) -> String {
 /// Renders the `run_all` Markdown report. Byte-identical to the output
 /// the pre-engine harness produced when every cell completes: the figures
 /// are views over the same measurements. Failed cells render as `n/a`.
-pub fn render_markdown(run: &EngineRun) -> String {
+pub fn render_markdown(v: &RunView) -> String {
     use std::fmt::Write as _;
+    let run = v.run;
     let mut out = String::new();
     let o = &mut out;
 
@@ -903,7 +918,7 @@ pub fn render_markdown(run: &EngineRun) -> String {
     );
     let _ = writeln!(o, "|---|---:|---:|---:|");
     for &w in &names {
-        let _ = match run.cell(baseline_cell(w)) {
+        let _ = match v.cell(baseline_cell(w)) {
             Some(b) => writeln!(
                 o,
                 "| {} | {} | {} | {:.2} |",
@@ -931,8 +946,8 @@ pub fn render_markdown(run: &EngineRun) -> String {
             o,
             "| {} | {} | {} | {} |",
             w,
-            fmt3(run.speedup(unl)),
-            fmt3(run.speedup(two)),
+            fmt3(v.speedup(unl)),
+            fmt3(v.speedup(two)),
             confs
         );
     }
@@ -987,9 +1002,9 @@ pub fn render_markdown(run: &EngineRun) -> String {
             o,
             "| {} | {} | {} | {} |",
             w,
-            fmt3(run.speedup(cells[0])),
-            fmt3(run.speedup(cells[1])),
-            fmt3(run.speedup(cells[2]))
+            fmt3(v.speedup(cells[0])),
+            fmt3(v.speedup(cells[1])),
+            fmt3(v.speedup(cells[2]))
         );
     }
     let _ = writeln!(o);
@@ -1032,7 +1047,7 @@ pub fn render_markdown(run: &EngineRun) -> String {
         let cells: Vec<Option<f64>> = [0u32, 10, 100, 500]
             .iter()
             .map(|&c| {
-                run.speedup(Cell::new(
+                v.speedup(Cell::new(
                     w,
                     SelectionSpec::selective_std(Some(2)),
                     MachineSpec::with_pfus(2, c),
@@ -1258,9 +1273,29 @@ mod tests {
     }
 
     #[test]
+    fn knobbed_report_shows_the_knobbed_numbers() {
+        let knobs = (2, 2, 0.0);
+        let plan = crate::plan::by_name("run_all", knobs).unwrap();
+        let run = execute(&plan, Scale::Test);
+        assert_eq!(run.stats.failed_cells, 0);
+        let md = render_markdown(&RunView { run: &run, knobs });
+        // Only the host-rate roll-up may read n/a (and only when host
+        // time is zeroed); every table row has its number.
+        for line in md.lines().filter(|l| !l.starts_with("Host time:")) {
+            assert!(!line.contains("n/a"), "{line}");
+        }
+        let two = Cell::new("epic", SelectionSpec::Greedy, MachineSpec::with_pfus(2, 10));
+        let knobbed = run.speedup(two.knobbed(knobs)).unwrap();
+        assert!(md.contains(&format!("{knobbed:.3}")), "{md}");
+    }
+
+    #[test]
     fn markdown_report_has_every_section() {
         let run = execute(&crate::plan::run_all_plan(), Scale::Test);
-        let md = render_markdown(&run);
+        let md = render_markdown(&RunView {
+            run: &run,
+            knobs: crate::plan::DEFAULT_PLANE,
+        });
         for section in [
             "# T1000 experiment report",
             "Host time: prepare ",

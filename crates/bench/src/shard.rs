@@ -61,44 +61,17 @@ use crate::engine::{
 };
 use crate::fault::FaultPlan;
 use crate::json::Json;
-use crate::plan::{Cell, Plan, SelectionSpec};
+use crate::lines::{LineError, LineReader, MAX_LINE_BYTES};
+use crate::plan::{Cell, Plan, PlaneKnobs, SelectionSpec, DEFAULT_PLANE};
 use crate::results;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use t1000_core::{stable_hash64, ExtractConfig};
 use t1000_workloads::Scale;
-
-/// The config-plane machine knobs `(pfu_planes, pfu_prefetch,
-/// conf_compress)` a plan is built with (`--pfu-planes`,
-/// `--pfu-prefetch`, `--conf-compress`).
-pub type PlaneKnobs = (u32, u32, f64);
-
-/// The knobs that leave a plan's machines untouched.
-pub const DEFAULT_PLANE: PlaneKnobs = (1, 0, 0.0);
-
-/// Plans an endpoint can rebuild from the wire. Sharded execution ships
-/// the plan *name* and the config-plane knobs, not the cells: both sides
-/// derive the identical cell list (and selection-key list) from this one
-/// pure function, so a name, three knobs and global indices are a
-/// complete description of the work. Default knobs keep the untouched
-/// plan object, so the artifact stays byte-identical to pre-v6 runs
-/// (cell order included).
-pub fn plan_by_name(name: &str, knobs: PlaneKnobs) -> Option<Plan> {
-    let plan = match name {
-        "run_all" => crate::plan::run_all_plan(),
-        "run_all_strategies" => crate::plan::run_all_plan_with_strategies(),
-        _ => return None,
-    };
-    if knobs == DEFAULT_PLANE {
-        return Some(plan);
-    }
-    let (planes, prefetch, compress) = knobs;
-    Some(plan.with_config_plane(planes, prefetch, compress))
-}
 
 fn scale_str(scale: Scale) -> &'static str {
     match scale {
@@ -402,8 +375,7 @@ pub fn parse_shard_params(params: &Json) -> Result<ShardJob, String> {
             .ok_or("bad conf_compress")?,
     };
     let knobs = (planes, knob("pfu_prefetch", DEFAULT_PLANE.1)?, compress);
-    let plan =
-        plan_by_name(plan_name, knobs).ok_or_else(|| format!("unknown plan {plan_name:?}"))?;
+    let plan = crate::plan::by_name(plan_name, knobs)?;
     let scale = match params.get("scale").and_then(Json::as_str) {
         Some("test") => Scale::Test,
         Some("full") => Scale::Full,
@@ -892,12 +864,6 @@ impl MergeState {
 /// its cells fall to the next rung of the degradation ladder).
 pub const REMOTE_IDLE_ENV: &str = "T1000_REMOTE_IDLE_MS";
 
-/// Longest line a remote stream may send. A cell document is a few
-/// kilobytes; a peer that streams this much without a newline is broken,
-/// and its dispatch fails into the degradation ladder instead of growing
-/// the coordinator's buffer without bound.
-pub const MAX_LINE_BYTES: usize = 1 << 20;
-
 /// Per-endpoint dispatch accounting, reported in the `.shards.json`
 /// sidecar's `endpoints` array.
 #[derive(Clone, Copy, Debug, Default)]
@@ -930,15 +896,14 @@ impl RemoteState {
     }
 }
 
-/// A line-oriented reader over one remote dispatch's TCP stream. Reads in
-/// short timeout slices so an *idle* watchdog (time since the last byte
-/// arrived) turns a hung network into a typed, retryable error instead
-/// of a stuck coordinator. Buffers raw bytes and splits on `\n` itself,
-/// so a read timeout mid-line never loses partial data; a line longer
-/// than [`MAX_LINE_BYTES`] is an error.
+/// One remote dispatch's TCP stream, read through the shared
+/// [`LineReader`] in short timeout slices so an *idle* watchdog (time
+/// since the last byte arrived) turns a hung network into a typed,
+/// retryable error instead of a stuck coordinator. A read timeout
+/// mid-line never loses partial data, and a line longer than
+/// [`MAX_LINE_BYTES`] fails the dispatch.
 struct RemoteReader {
-    stream: TcpStream,
-    buf: Vec<u8>,
+    lines: LineReader<TcpStream>,
 }
 
 impl RemoteReader {
@@ -947,16 +912,16 @@ impl RemoteReader {
             .set_read_timeout(Some(Duration::from_millis(100)))
             .map_err(|e| format!("setting read timeout: {e}"))?;
         Ok(RemoteReader {
-            stream,
-            buf: Vec::new(),
+            lines: LineReader::new(stream),
         })
     }
 
     fn write_line(&mut self, line: &str) -> Result<(), String> {
-        self.stream
+        let stream = self.lines.get_mut();
+        stream
             .write_all(line.as_bytes())
-            .and_then(|()| self.stream.write_all(b"\n"))
-            .and_then(|()| self.stream.flush())
+            .and_then(|()| stream.write_all(b"\n"))
+            .and_then(|()| stream.flush())
             .map_err(|e| format!("writing request: {e}"))
     }
 
@@ -964,42 +929,23 @@ impl RemoteReader {
     /// simulates a `netstall@` fault: reads are skipped entirely, so the
     /// genuine idle-watchdog branch is what fires.
     fn read_line(&mut self, idle: Duration, stalled: bool) -> Result<Option<String>, String> {
-        let mut last_byte = Instant::now();
+        let start = Instant::now();
         loop {
             if !stalled {
-                if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
-                    let line: Vec<u8> = self.buf.drain(..=pos).collect();
-                    return Ok(Some(String::from_utf8_lossy(&line[..pos]).into_owned()));
-                }
-                if self.buf.len() > MAX_LINE_BYTES {
-                    return Err(format!("line exceeds {MAX_LINE_BYTES} bytes"));
+                match self.lines.read_line() {
+                    Ok(line) => return Ok(line),
+                    Err(LineError::Timeout) => {}
+                    Err(LineError::TooLong) => {
+                        return Err(format!("line exceeds {MAX_LINE_BYTES} bytes"))
+                    }
+                    Err(LineError::Io(e)) => return Err(format!("reading stream: {e}")),
                 }
             }
-            if last_byte.elapsed() >= idle {
+            if self.lines.last_read().max(start).elapsed() >= idle {
                 return Err(format!("stream idle for {} ms", idle.as_millis()));
             }
             if stalled {
                 std::thread::sleep(Duration::from_millis(20));
-                continue;
-            }
-            let mut chunk = [0u8; 4096];
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    if self.buf.is_empty() {
-                        return Ok(None);
-                    }
-                    let rest = String::from_utf8_lossy(&self.buf).into_owned();
-                    self.buf.clear();
-                    return Ok(Some(rest));
-                }
-                Ok(n) => {
-                    self.buf.extend_from_slice(&chunk[..n]);
-                    last_byte = Instant::now();
-                }
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut => {}
-                Err(e) => return Err(format!("reading stream: {e}")),
             }
         }
     }
@@ -1210,7 +1156,7 @@ struct WaveEntry {
 }
 
 /// Executes the plan `plan_name` (built with `knobs`, see
-/// [`plan_by_name`]) across the `remotes` endpoints — one shard per
+/// [`crate::plan::by_name`]) across the `remotes` endpoints — one shard per
 /// endpoint, shard `s` to endpoint `s` — and merges the streamed results.
 /// Honors the coordinator-side parts of `config` — checkpoint/resume,
 /// fault injection (cell arms are forwarded to the owning endpoint,
@@ -1232,11 +1178,7 @@ pub fn run_sharded(
         return Err("sharded execution needs at least one remote endpoint".to_string());
     }
     let shards = remotes.len();
-    let plan =
-        plan_by_name(plan_name, knobs).ok_or_else(|| format!("unknown plan {plan_name:?}"))?;
-    if !plan.selection_only().is_empty() {
-        return Err("sharded execution supports cell-only plans".to_string());
-    }
+    let plan = crate::plan::by_name(plan_name, knobs)?;
 
     let mut merge = MergeState::new(&plan, scale);
     // Resume: cells any previous run — sharded or in-process, the
@@ -1745,6 +1687,36 @@ mod tests {
     }
 
     #[test]
+    fn every_registry_plan_round_trips_through_the_shard_request() {
+        for e in crate::plan::PLANS {
+            for knobs in [DEFAULT_PLANE, (2, 2, 0.0), (1, 0, 2.0)] {
+                let plan = crate::plan::by_name(e.name, knobs).unwrap();
+                let last = plan.cells().len() - 1;
+                let req = shard_request(
+                    (e.name, knobs),
+                    Scale::Test,
+                    &[0, last],
+                    &[],
+                    &det_config(),
+                    &FaultPlan::none(),
+                );
+                let job = parse_shard_params(req.get("params").unwrap()).unwrap();
+                assert_eq!(job.plan.cells(), plan.cells(), "{} {knobs:?}", e.name);
+                assert_eq!(job.indices, vec![0, last]);
+            }
+        }
+        let err = parse_shard_params(
+            &Json::parse(r#"{"plan":"nope","scale":"test","cells":[]}"#).unwrap(),
+        )
+        .err()
+        .unwrap();
+        assert!(
+            err.contains("unknown plan") && err.contains("reload_sweep"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn config_plane_knobs_ride_the_shard_request() {
         let knobs = (2, 2, 0.0);
         let req = shard_request(
@@ -1756,11 +1728,13 @@ mod tests {
             &FaultPlan::none(),
         );
         let job = parse_shard_params(req.get("params").unwrap()).unwrap();
-        let expected = plan_by_name("run_all", knobs).unwrap();
+        let expected = crate::plan::by_name("run_all", knobs).unwrap();
         assert_eq!(job.plan.cells(), expected.cells());
         assert_ne!(
             job.plan.cells(),
-            plan_by_name("run_all", DEFAULT_PLANE).unwrap().cells(),
+            crate::plan::by_name("run_all", DEFAULT_PLANE)
+                .unwrap()
+                .cells(),
             "knobs must reach the endpoint's plan"
         );
         // Knobs outside the machine model are typed request errors.
@@ -1784,7 +1758,7 @@ mod tests {
         // consistent, checksum-true document for a cell the coordinator
         // planned with config-plane knobs: the merge must refuse it.
         let plan = small_plan();
-        let knobbed = plan.with_config_plane(2, 2, 0.0);
+        let knobbed = plan.clone().with_config_plane((2, 2, 0.0));
         let run = execute_with(&plan, Scale::Test, &det_config());
         let target = &run.cells[1]; // a fused (non-baseline) cell
         let gi = plan.cells().iter().position(|&c| c == target.cell).unwrap();
@@ -1817,7 +1791,6 @@ mod tests {
             .read_line(Duration::from_secs(30), false)
             .unwrap_err();
         assert!(err.contains("exceeds"), "{err}");
-        assert!(reader.buf.len() <= MAX_LINE_BYTES + 4096);
         drop(reader);
         writer.join().unwrap();
     }

@@ -18,12 +18,11 @@
 //!                                               and accept/reject decisions)
 //! t1000 bench   <name> [--scale test|full] [--pfus N]
 //!                                               run a MediaBench-style kernel
-//! t1000 bench   --all [--scale test|full] [--json FILE] [--resume]
-//!               [--deterministic] [--inject PLAN] [--max-cycles N]
-//!               [--strategies] [--no-fast-path] full experiment suite (engine;
-//!                                               --strategies adds the knapsack
-//!                                               sweep cells; --no-fast-path
-//!                                               disables hot-loop replay)
+//! t1000 bench   --all [--plan NAME] [--scale test|full] [--json FILE]
+//!               [--resume] [--deterministic] [--inject PLAN]
+//!               [--max-cycles N] [--no-fast-path] one registry plan (default
+//!                                               `run_all`; names in
+//!                                               t1000_bench::plan::PLANS)
 //!               [--remote HOST:PORT,...]        one shard per remote
 //!                                               `t1000 serve --tcp` endpoint,
 //!                                               merged into a byte-identical
@@ -116,14 +115,9 @@ const BENCH_VALUE_OPTS: &[&str] = &[
     "pfu-planes",
     "pfu-prefetch",
     "conf-compress",
+    "plan",
 ];
-const BENCH_FLAG_OPTS: &[&str] = &[
-    "all",
-    "resume",
-    "deterministic",
-    "strategies",
-    "no-fast-path",
-];
+const BENCH_FLAG_OPTS: &[&str] = &["all", "resume", "deterministic", "no-fast-path"];
 pub(crate) const SERVE_VALUE_OPTS: &[&str] = &["socket", "tcp", "workers", "queue"];
 pub(crate) const SERVE_FLAGS: &[&str] = &[];
 
@@ -148,7 +142,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
 }
 
 fn usage() -> String {
-    "t1000 — configurable extended instructions toolchain\n\
+    let mut text = "t1000 — configurable extended instructions toolchain\n\
      usage:\n\
      \x20 t1000 asm     <file.s> [--out file.tobj]\n\
      \x20 t1000 disasm  <file.s|.tobj>\n\
@@ -160,13 +154,18 @@ fn usage() -> String {
      \x20 t1000 select  <file|bench:name> [--strategy greedy|selective|knapsack] [--pfus N]\n\
      \x20               [--greedy] [--threshold F] [--lut-budget N] [--reload-weight W] [--explain] [--scale test|full]\n\
      \x20 t1000 bench   <name> [--scale test|full] [--pfus N] [--pfu-planes 1|2] [--pfu-prefetch N] [--conf-compress R]\n\
-     \x20 t1000 bench   --all [--scale test|full] [--json FILE] [--resume]\n\
+     \x20 t1000 bench   --all [--plan NAME] [--scale test|full] [--json FILE] [--resume]\n\
      \x20               [--remote HOST:PORT,...] [--retries N] [--backoff-ms M]\n\
      \x20               [--pfu-planes 1|2] [--pfu-prefetch N] [--conf-compress R]\n\
-     \x20               [--deterministic] [--inject PLAN] [--max-cycles N] [--strategies] [--no-fast-path]\n\
+     \x20               [--deterministic] [--inject PLAN] [--max-cycles N] [--no-fast-path]\n\
      \x20 t1000 bench   --validate <BENCH_results.json> [--expect KEY=VALUE,...]\n\
-     \x20 t1000 serve   [--socket PATH] [--tcp HOST:PORT] [--workers N] [--queue N]  (JSON-RPC daemon; docs/SERVING.md)\n"
-        .to_string()
+     \x20 t1000 serve   [--socket PATH] [--tcp HOST:PORT] [--workers N] [--queue N]  (JSON-RPC daemon; docs/SERVING.md)\n\
+     plans (bench --all --plan NAME, default run_all):\n"
+        .to_string();
+    for e in t1000_bench::plan::PLANS {
+        writeln!(text, "  {:<19} {}", e.name, e.about).unwrap();
+    }
+    text
 }
 
 /// Loads a program from assembly (`.s`) or text-object (`.tobj`) source.
@@ -625,10 +624,10 @@ fn cmd_bench(args: &[String]) -> Result<String, CliError> {
     if p.flag("all") {
         let config = engine_config(&p)?;
         return bench_all(
+            p.get("plan").unwrap_or("run_all"),
             scale,
             p.get("json"),
             &config,
-            p.flag("strategies"),
             &remotes,
             (planes, prefetch, compress),
         );
@@ -639,8 +638,8 @@ fn cmd_bench(args: &[String]) -> Result<String, CliError> {
     if p.get("retries").is_some() || p.get("backoff-ms").is_some() {
         return err("bench: --retries/--backoff-ms require --all");
     }
-    if p.flag("strategies") {
-        return err("bench: --strategies requires --all");
+    if p.get("plan").is_some() {
+        return err("bench: --plan requires --all");
     }
     if p.flag("resume") {
         return err("bench: --resume requires --all (and --json FILE for the checkpoint)");
@@ -752,18 +751,21 @@ fn engine_config(p: &Parsed) -> Result<t1000_bench::engine::EngineConfig, CliErr
     })
 }
 
-/// `bench --all`: the full experiment suite through the shared engine,
-/// optionally writing the `BENCH_results.json` artifact. Cells that fail
-/// are tabulated and the command exits nonzero; completed cells are
+/// `bench --all --plan NAME`: one registry plan through the shared
+/// engine, optionally writing the `BENCH_results.json` artifact, then
+/// the plan's report. Cells that fail are tabulated and the command exits
+/// nonzero, as does a report whose gate fails; completed cells are
 /// checkpointed next to the artifact so `--resume` can pick them up.
 fn bench_all(
+    plan_name: &str,
     scale: t1000_workloads::Scale,
     json: Option<&str>,
     config: &t1000_bench::engine::EngineConfig,
-    strategies: bool,
     remotes: &[String],
-    knobs: t1000_bench::shard::PlaneKnobs,
+    knobs: t1000_bench::plan::PlaneKnobs,
 ) -> Result<String, CliError> {
+    let bench_err = |e: String| CliError(format!("bench: {e}"));
+    let entry = t1000_bench::plan::entry(plan_name).map_err(bench_err)?;
     let mut config = config.clone();
     let checkpoint = json.map(|path| std::path::PathBuf::from(format!("{path}.partial")));
     if config.resume && checkpoint.is_none() {
@@ -771,21 +773,15 @@ fn bench_all(
     }
     config.checkpoint = checkpoint.clone();
 
-    let plan_name = if strategies {
-        "run_all_strategies"
-    } else {
-        "run_all"
-    };
     let (run, sidecar) = if remotes.is_empty() {
-        let plan = t1000_bench::shard::plan_by_name(plan_name, knobs)
-            .ok_or_else(|| CliError(format!("bench: unknown plan {plan_name}")))?;
+        let plan = t1000_bench::plan::by_name(plan_name, knobs).map_err(bench_err)?;
         (
             t1000_bench::engine::execute_with(&plan, scale, &config),
             None,
         )
     } else {
         let sharded = t1000_bench::shard::run_sharded(plan_name, knobs, scale, &config, remotes)
-            .map_err(|e| CliError(format!("bench: {e}")))?;
+            .map_err(bench_err)?;
         (sharded.run, Some(sharded.sidecar))
     };
     if let Some(path) = json {
@@ -802,7 +798,8 @@ fn bench_all(
                 .map_err(|e| CliError(format!("cannot write {sidecar_path}: {e}")))?;
         }
     }
-    let mut out = t1000_bench::results::render_markdown(&run);
+    let report = (entry.render)(&t1000_bench::results::RunView { run: &run, knobs });
+    let mut out = report.as_deref().unwrap_or_default().to_string();
     let s = &run.stats;
     writeln!(out).unwrap();
     writeln!(
@@ -853,20 +850,25 @@ fn bench_all(
             writeln!(out, "Wrote {path}.shards.json (shard topology).").unwrap();
         }
     }
-    if run.failures.is_empty() {
-        // Healthy run: the artifact is complete, so the checkpoint is
-        // dead weight.
-        if let Some(cp) = &checkpoint {
-            let _ = std::fs::remove_file(cp);
-        }
-        Ok(out)
-    } else {
+    if !run.failures.is_empty() {
         // The artifact (if any) records the failures; print everything we
         // rendered, then refuse a clean exit with the failure table.
         print!("{out}");
-        Err(CliError(t1000_bench::results::render_failures(
+        return Err(CliError(t1000_bench::results::render_failures(
             &run.failures,
-        )))
+        )));
+    }
+    // Healthy run: the artifact is complete, so the checkpoint is dead
+    // weight — even when the plan's gate then refuses the numbers.
+    if let Some(cp) = &checkpoint {
+        let _ = std::fs::remove_file(cp);
+    }
+    match report {
+        Ok(_) => Ok(out),
+        Err(gate) => {
+            print!("{out}");
+            Err(bench_err(gate))
+        }
     }
 }
 
@@ -967,12 +969,22 @@ usage:\n\
 \x20 t1000 select  <file|bench:name> [--strategy greedy|selective|knapsack] [--pfus N]\n\
 \x20               [--greedy] [--threshold F] [--lut-budget N] [--reload-weight W] [--explain] [--scale test|full]\n\
 \x20 t1000 bench   <name> [--scale test|full] [--pfus N] [--pfu-planes 1|2] [--pfu-prefetch N] [--conf-compress R]\n\
-\x20 t1000 bench   --all [--scale test|full] [--json FILE] [--resume]\n\
+\x20 t1000 bench   --all [--plan NAME] [--scale test|full] [--json FILE] [--resume]\n\
 \x20               [--remote HOST:PORT,...] [--retries N] [--backoff-ms M]\n\
 \x20               [--pfu-planes 1|2] [--pfu-prefetch N] [--conf-compress R]\n\
-\x20               [--deterministic] [--inject PLAN] [--max-cycles N] [--strategies] [--no-fast-path]\n\
+\x20               [--deterministic] [--inject PLAN] [--max-cycles N] [--no-fast-path]\n\
 \x20 t1000 bench   --validate <BENCH_results.json> [--expect KEY=VALUE,...]\n\
-\x20 t1000 serve   [--socket PATH] [--tcp HOST:PORT] [--workers N] [--queue N]  (JSON-RPC daemon; docs/SERVING.md)\n";
+\x20 t1000 serve   [--socket PATH] [--tcp HOST:PORT] [--workers N] [--queue N]  (JSON-RPC daemon; docs/SERVING.md)\n\
+plans (bench --all --plan NAME, default run_all):\n\
+\x20 run_all             every paper figure and table: Fig. 2, §4.1, Fig. 6, Fig. 7, §5.2\n\
+\x20 run_all_strategies  run_all plus knapsack cells at each LUT budget\n\
+\x20 reconfig_sweep      §5.2: reconfiguration penalty 0-500 cycles, selective vs greedy, 2 PFUs\n\
+\x20 bitwidth_sweep      ablation: candidate bitwidth threshold, selective, 4 PFUs\n\
+\x20 ports_sweep         ablation: PFU input-port budget, selective, 4 PFUs\n\
+\x20 branch_sweep        ablation: branch predictor ladder, selective, 2 PFUs\n\
+\x20 pfu_policy_sweep    ablation: PFU replacement policy, greedy, 2 PFUs\n\
+\x20 width_sweep         ablation: issue width 1-8, selective, 2 PFUs\n\
+\x20 reload_sweep        reload cost x prefetch depth x PFU count pareto; fails if no reload is hidden\n";
         assert_eq!(run(&s(&["--help"])).unwrap(), golden);
         assert_eq!(run(&s(&["help"])).unwrap(), golden);
     }
@@ -1207,9 +1219,38 @@ usage:\n\
     }
 
     #[test]
-    fn bench_strategies_requires_all() {
-        let e = run(&s(&["bench", "g721_enc", "--strategies"])).unwrap_err();
-        assert!(e.0.contains("--strategies"), "{e}");
+    fn bench_plan_requires_all_and_strategies_is_gone() {
+        let e = run(&s(&["bench", "g721_enc", "--plan", "width_sweep"])).unwrap_err();
+        assert!(e.0.contains("--plan requires --all"), "{e}");
+        // `--plan run_all_strategies` replaced the flag.
+        let e = run(&s(&["bench", "--all", "--strategies"])).unwrap_err();
+        assert!(e.0.contains("unknown option --strategies"), "{e}");
+        // An unknown plan is refused before anything runs, naming the
+        // registry.
+        let e = run(&s(&["bench", "--all", "--plan", "nope"])).unwrap_err();
+        assert!(e.0.contains("unknown plan \"nope\""), "{e}");
+        for entry in t1000_bench::plan::PLANS {
+            assert!(e.0.contains(entry.name), "{e}");
+        }
+    }
+
+    #[test]
+    fn reload_sweep_gate_fails_the_bench_when_nothing_is_hidden() {
+        // `--conf-compress` alone rewrites every PFU machine to one plane
+        // with no prefetch, so no reload can be hidden: the plan's gate
+        // must refuse the run even though every cell completed.
+        let e = run(&s(&[
+            "bench",
+            "--all",
+            "--plan",
+            "reload_sweep",
+            "--scale",
+            "test",
+            "--conf-compress",
+            "2",
+        ]))
+        .unwrap_err();
+        assert!(e.0.contains("hid no reload cycles"), "{e}");
     }
 
     #[test]

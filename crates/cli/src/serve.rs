@@ -64,7 +64,7 @@
 use crate::args::parse;
 use crate::CliError;
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -72,6 +72,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 use t1000_bench::engine::{CellRunner, FailureCause, RetryPolicy, RunOptions, SelectionRecord};
 use t1000_bench::json::Json;
+use t1000_bench::lines::{LineError, LineReader, MAX_LINE_BYTES};
 use t1000_bench::plan::{Cell, MachineSpec, SelectionSpec};
 use t1000_bench::results::{cell_result_json, selection_json, SCHEMA_VERSION};
 use t1000_bench::shard;
@@ -1021,17 +1022,9 @@ fn serve_stdio(server: &Server) -> Result<String, CliError> {
         for _ in 0..server.workers {
             s.spawn(|| worker_loop(server));
         }
-        let stdin = std::io::stdin();
-        for line in stdin.lock().lines() {
-            let Ok(line) = line else { break };
-            if line.trim().is_empty() {
-                continue;
-            }
-            server.dispatch(line.trim(), &out);
-            if server.is_shutting_down() {
-                break;
-            }
-        }
+        // Stdin never times out, so stop right after the request that
+        // began the drain.
+        serve_lines(server, std::io::stdin().lock(), &out, true);
         server.queue.close();
     });
     eprintln!("[t1000-serve] {}", server.summary());
@@ -1112,28 +1105,42 @@ fn serve_connection<S: ServeStream>(server: &Server, stream: S) {
         return;
     };
     let out: Out = Arc::new(Mutex::new(Box::new(write_half)));
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    serve_lines(server, stream, &out, false);
+}
+
+/// Reads newline-framed requests from `input` through the shared
+/// [`LineReader`] and dispatches them, until EOF, a read error, an
+/// over-long line (answered with a typed `400`, then the input is
+/// closed), or shutdown: noticed at every read timeout, and right after
+/// a request when `stop_on_drain` (inputs that never time out).
+fn serve_lines<R: Read>(server: &Server, input: R, out: &Out, stop_on_drain: bool) {
+    let mut lines = LineReader::new(input);
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) => {
+        match lines.read_line() {
+            Ok(Some(line)) => {
                 if !line.trim().is_empty() {
-                    server.dispatch(line.trim(), &out);
+                    server.dispatch(line.trim(), out);
                 }
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if server.is_shutting_down() {
+                if stop_on_drain && server.is_shutting_down() {
                     break;
                 }
             }
-            Err(_) => break,
+            Err(LineError::Timeout) if !server.is_shutting_down() => {}
+            Err(LineError::TooLong) => {
+                server.received.fetch_add(1, Ordering::Relaxed);
+                server.malformed.fetch_add(1, Ordering::Relaxed);
+                let resp = error_response(
+                    &Json::Null,
+                    code::BAD_REQUEST,
+                    "line_too_long",
+                    &format!("request line exceeds {MAX_LINE_BYTES} bytes; closing the connection"),
+                    vec![],
+                );
+                server.record(&resp);
+                write_response(out, &resp);
+                break;
+            }
+            Ok(None) | Err(_) => break,
         }
     }
 }
@@ -1347,6 +1354,14 @@ mod tests {
             j(&server
                 .handle_line(r#"{"id": 1, "method": "run_shard", "params": {"plan": "nope"}}"#));
         assert_eq!(error_code(&resp), code::BAD_REQUEST);
+        // ...whose message names every plan the registry offers.
+        let message = resp
+            .get("error")
+            .and_then(|e| e.get("message"))
+            .and_then(Json::as_str);
+        for entry in t1000_bench::plan::PLANS {
+            assert!(message.unwrap().contains(entry.name), "{message:?}");
+        }
         // A small dispatch: event lines, then an id-echoing envelope.
         let out = server.handle_line(
             r#"{"id": 42, "method": "run_shard", "params": {"plan": "run_all", "scale": "test", "cells": [0, 1], "deterministic": true}}"#,

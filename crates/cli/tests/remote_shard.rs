@@ -413,3 +413,27 @@ fn config_plane_knobs_reach_the_endpoints() {
     cleanup(&path);
     cleanup(&local);
 }
+
+/// Every registry plan rides the one remote path: a sweep dispatched
+/// over two endpoints merges into the artifact the in-process run of the
+/// same plan writes, byte for byte, and renders the sweep's own table.
+#[test]
+fn registry_plans_run_remotely_byte_identical() {
+    let plan = ["--plan", "pfu_policy_sweep"];
+    let local = tmp("policy_local.json");
+    let (ok, log) = bench_all(&local, &plan);
+    assert!(ok, "{log}");
+    assert!(log.contains("PFU replacement ablation"), "{log}");
+
+    let (_a, _b, remote) = Endpoint::pair();
+    let path = tmp("policy_remote.json");
+    let mut extra = vec!["--remote", remote.as_str()];
+    extra.extend_from_slice(&plan);
+    let (ok, log) = bench_all(&path, &extra);
+    assert!(ok, "{log}");
+    assert!(log.contains("PFU replacement ablation"), "{log}");
+    assert_eq!(read(&path), read(&local), "remote sweep artifact diverges");
+    assert!(degradations(&sidecar(&path)).is_empty());
+    cleanup(&path);
+    cleanup(&local);
+}

@@ -4,6 +4,7 @@
 //! The wire protocol these exercise is specified in `docs/SERVING.md`.
 
 use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
@@ -329,39 +330,71 @@ fn shutdown_drains_inflight_run_shard() {
     );
 }
 
+/// A `t1000 serve --tcp 127.0.0.1:0` daemon on an OS-assigned loopback
+/// port, parsed from the startup banner. Killed and reaped on drop.
+struct TcpDaemon {
+    child: Child,
+    addr: String,
+}
+
+impl TcpDaemon {
+    fn spawn() -> TcpDaemon {
+        let mut child = Command::new(bin())
+            .args(["serve", "--tcp", "127.0.0.1:0", "--workers", "2"])
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn tcp daemon");
+        // The banner carries the OS-chosen port: "... listening on tcp://ADDR ...".
+        let mut stderr = BufReader::new(child.stderr.take().unwrap());
+        let addr = loop {
+            let mut line = String::new();
+            if stderr.read_line(&mut line).expect("banner") == 0 {
+                let _ = child.kill();
+                let _ = child.wait();
+                panic!("daemon exited before announcing its TCP address");
+            }
+            if let Some(rest) = line.split("listening on tcp://").nth(1) {
+                break rest.split_whitespace().next().expect("addr").to_string();
+            }
+        };
+        TcpDaemon { child, addr }
+    }
+
+    fn connect(&self) -> (TcpStream, BufReader<TcpStream>) {
+        let stream = TcpStream::connect(&self.addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("read timeout");
+        let reader = BufReader::new(stream.try_clone().expect("clone"));
+        (stream, reader)
+    }
+}
+
+impl Drop for TcpDaemon {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+fn recv(reader: &mut BufReader<TcpStream>) -> Json {
+    let mut resp = String::new();
+    reader.read_line(&mut resp).expect("recv");
+    Json::parse(resp.trim()).unwrap_or_else(|e| panic!("bad response `{resp}`: {e}"))
+}
+
 /// The TCP transport speaks the identical wire contract as the Unix
 /// socket: bind loopback on an OS-assigned port (parsed from the startup
 /// banner), run a scripted session over `TcpStream`, shut down cleanly.
 #[test]
 fn tcp_transport_speaks_the_same_wire_contract() {
-    let mut child = Command::new(bin())
-        .args(["serve", "--tcp", "127.0.0.1:0", "--workers", "2"])
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn tcp daemon");
-    // The banner carries the OS-chosen port: "... listening on tcp://ADDR ...".
-    let mut stderr = BufReader::new(child.stderr.take().unwrap());
-    let addr = loop {
-        let mut line = String::new();
-        if stderr.read_line(&mut line).expect("banner") == 0 {
-            let _ = child.kill();
-            let _ = child.wait();
-            panic!("daemon exited before announcing its TCP address");
-        }
-        if let Some(rest) = line.split("listening on tcp://").nth(1) {
-            break rest.split_whitespace().next().expect("addr").to_string();
-        }
-    };
-
-    let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut daemon = TcpDaemon::spawn();
+    let (mut stream, mut reader) = daemon.connect();
     let mut ask = |line: &str| -> Json {
         writeln!(stream, "{line}").expect("send");
         stream.flush().expect("flush");
-        let mut resp = String::new();
-        reader.read_line(&mut resp).expect("recv");
-        Json::parse(resp.trim()).unwrap_or_else(|e| panic!("bad response `{resp}`: {e}"))
+        recv(&mut reader)
     };
 
     let status = ask(r#"{"id": 1, "method": "status"}"#);
@@ -387,17 +420,78 @@ fn tcp_transport_speaks_the_same_wire_contract() {
     );
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     let status = loop {
-        if let Some(status) = child.try_wait().expect("try_wait") {
+        if let Some(status) = daemon.child.try_wait().expect("try_wait") {
             break status;
         }
-        if std::time::Instant::now() > deadline {
-            let _ = child.kill();
-            let _ = child.wait();
-            panic!("tcp daemon did not exit after shutdown");
-        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "tcp daemon did not exit after shutdown"
+        );
         std::thread::sleep(Duration::from_millis(50));
     };
     assert!(status.success());
+}
+
+/// A request whose TCP segments arrive 600 ms apart — three of the
+/// reader's read timeouts — is still one request, answered with its own
+/// id: partial bytes survive a timeout.
+#[test]
+fn delayed_split_request_is_answered_with_its_own_id() {
+    let daemon = TcpDaemon::spawn();
+    let (mut stream, mut reader) = daemon.connect();
+    stream.set_nodelay(true).expect("nodelay");
+    let request = b"{\"id\": 7, \"method\": \"ping\"}\n";
+    stream.write_all(&request[..10]).expect("first half");
+    stream.flush().expect("flush");
+    std::thread::sleep(Duration::from_millis(600));
+    stream.write_all(&request[10..]).expect("second half");
+    stream.flush().expect("flush");
+    let resp = recv(&mut reader);
+    assert_eq!(
+        resp.get("id").and_then(Json::as_u64),
+        Some(7),
+        "{}",
+        resp.to_string_compact()
+    );
+    assert_eq!(
+        result(&resp).get("pong").and_then(Json::as_bool),
+        Some(true)
+    );
+}
+
+/// A request line longer than the cap earns a typed 400 and its
+/// connection is closed; the daemon keeps answering fresh connections.
+#[test]
+fn over_long_request_line_is_refused_and_the_daemon_keeps_serving() {
+    let daemon = TcpDaemon::spawn();
+    let (mut stream, mut reader) = daemon.connect();
+    // One byte past the cap and no newline: the daemon reads it all,
+    // refuses it, and closes without unread input left behind.
+    let line = vec![b'['; t1000_bench::lines::MAX_LINE_BYTES + 1];
+    stream.write_all(&line).expect("send over-long line");
+    stream.flush().expect("flush");
+    let resp = recv(&mut reader);
+    assert_eq!(error_code(&resp), 400);
+    let kind = resp
+        .get("error")
+        .and_then(|e| e.get("kind"))
+        .and_then(Json::as_str);
+    assert_eq!(kind, Some("line_too_long"));
+    let mut rest = String::new();
+    assert_eq!(
+        reader.read_line(&mut rest).expect("eof"),
+        0,
+        "connection stays open: {rest}"
+    );
+
+    let (mut fresh, mut fresh_reader) = daemon.connect();
+    writeln!(fresh, r#"{{"id": 8, "method": "ping"}}"#).expect("send");
+    let pong = recv(&mut fresh_reader);
+    assert_eq!(pong.get("id").and_then(Json::as_u64), Some(8));
+    assert_eq!(
+        result(&pong).get("pong").and_then(Json::as_bool),
+        Some(true)
+    );
 }
 
 #[test]
